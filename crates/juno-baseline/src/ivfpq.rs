@@ -19,12 +19,13 @@ use juno_common::metric::{inner_product, Metric};
 use juno_common::parallel;
 use juno_common::topk::TopK;
 use juno_common::vector::VectorSet;
-use juno_core::persist::{
-    get_codes, get_ivf, get_metric, get_pq, put_codes, put_ivf, put_metric, put_pq,
+use juno_core::persist::{get_ivf, get_metric, get_pq, put_ivf, put_metric, put_pq};
+use juno_data::snapshot::{
+    kind, SectionWriter, Snapshot, SnapshotWriter, CONTAINER_HEADER_LEN, SECTION_PREFIX_LEN,
 };
-use juno_data::snapshot::{kind, SectionWriter, Snapshot, SnapshotWriter};
 use juno_quant::ivf::{IvfIndex, IvfTrainConfig};
 use juno_quant::layout::{BlockCodes, GroupLane};
+use juno_quant::mapped::{decode_codes_v3, encode_codes_v3};
 use juno_quant::pq::{EncodedPoints, PqTrainConfig, ProductQuantizer};
 use std::path::Path;
 use std::sync::OnceLock;
@@ -252,21 +253,29 @@ impl IvfPqIndex {
     }
 
     /// Serialises the index into snapshot bytes (kind [`KIND_IVFPQ`]).
+    ///
+    /// `CODE` uses the v3 code layout, whose alignment padding depends on
+    /// the payload's absolute file offset, so the running offset is tracked
+    /// section by section as the JUNO writer does.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut writer = SnapshotWriter::new(KIND_IVFPQ);
+        let mut abs = CONTAINER_HEADER_LEN;
         let mut conf = SectionWriter::new();
         put_metric(&mut conf, self.metric);
         conf.put_u64(self.nprobs as u64);
         conf.put_u64(self.num_points as u64);
+        abs += SECTION_PREFIX_LEN + conf.len();
         writer.add_section(*b"CONF", conf);
         let mut ivfc = SectionWriter::new();
         put_ivf(&mut ivfc, &self.ivf);
+        abs += SECTION_PREFIX_LEN + ivfc.len();
         writer.add_section(*b"IVFC", ivfc);
         let mut pqcb = SectionWriter::new();
         put_pq(&mut pqcb, &self.pq);
+        abs += SECTION_PREFIX_LEN + pqcb.len();
         writer.add_section(*b"PQCB", pqcb);
         let mut code = SectionWriter::new();
-        put_codes(&mut code, &self.codes);
+        code.put_raw(&encode_codes_v3(&self.codes, abs + SECTION_PREFIX_LEN));
         writer.add_section(*b"CODE", code);
         writer.finish()
     }
@@ -294,9 +303,7 @@ impl IvfPqIndex {
         let mut r = snap.section(*b"PQCB")?;
         let pq = get_pq(&mut r)?;
         r.expect_end()?;
-        let mut r = snap.section(*b"CODE")?;
-        let codes = get_codes(&mut r)?;
-        r.expect_end()?;
+        let codes = decode_codes_v3(snap.section(*b"CODE")?.take_rest())?;
         if nprobs == 0
             || ivf.labels().len() != codes.len()
             || pq.num_subspaces() != codes.num_subspaces()
@@ -346,22 +353,11 @@ impl IvfPqIndex {
     /// Propagates I/O errors and the decoding failure of the newest
     /// readable candidate.
     pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        let mut last_err = None;
-        for (candidate, bytes) in juno_common::atomic_file::read_candidates(path)? {
-            match Self::from_snapshot_bytes(&bytes) {
-                Ok(index) => return Ok(index),
-                Err(err) => {
-                    last_err = Some(Error::corrupted(format!("{}: {err}", candidate.display())))
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            Error::Io(format!(
-                "no snapshot found at {} (nor a .prev generation)",
-                path.display()
-            ))
-        }))
+        juno_common::atomic_file::load_newest(
+            path.as_ref(),
+            |p| std::fs::read(p),
+            |bytes| Self::from_snapshot_bytes(&bytes),
+        )
     }
 
     /// Builds the per-cluster LUT of a query for one selected cluster into a

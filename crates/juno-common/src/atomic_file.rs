@@ -15,7 +15,7 @@
 //!    file, never a mixture;
 //! 4. the parent directory is fsync'd so both renames are durable.
 //!
-//! A reader ([`read_candidates`]) therefore tries `path` first and falls
+//! A reader ([`load_newest`]) therefore tries `path` first and falls
 //! back to `path.prev`: if the machine died mid-step-1 (torn temp file) the
 //! live `path` is untouched; if it died between steps 2 and 3, `path` is
 //! missing but `path.prev` holds the last good generation; if the *newest*
@@ -112,33 +112,50 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// The recovery candidates for `path`, newest first: the live file, then the
-/// rotated previous generation. Only existing files are returned; an empty
-/// vector means nothing has ever been persisted (or everything was deleted).
-///
-/// Callers validate candidates in order and keep the first one that parses —
-/// that is what turns the `.prev` rotation into torn-write recovery.
+/// Loads the newest generation at `path` that `decode` accepts: `path`
+/// first, then [`prev_path`]. `open` brings one candidate into memory
+/// (`std::fs::read` for a copy restore, [`Mmap::open`](crate::mmap::Mmap::open)
+/// for a mapped one) and `decode` validates it — every JUNO snapshot is
+/// checksummed, so a torn or damaged generation is rejected there and the
+/// next one is tried. Only the candidate being decoded is held in memory.
 ///
 /// # Errors
 ///
-/// A missing candidate is normal and simply skipped, but any *other* read
-/// failure (permissions, I/O error, `path` is a directory, …) is surfaced
-/// as [`Error::Io`]: treating "could not read" as "nothing persisted" would
-/// make a transient fault indistinguishable from data loss.
-pub fn read_candidates(path: &Path) -> Result<Vec<(PathBuf, Vec<u8>)>> {
-    let mut out = Vec::new();
+/// A missing candidate is normal and simply skipped, but any *other* open
+/// failure (permissions, I/O error, `path` is a directory, …) is returned
+/// at once as [`Error::Io`]: treating "could not read" as "torn" would make
+/// a transient fault silently serve an older generation. Returns
+/// [`Error::Io`] when no candidate exists, passes [`Error::Unsupported`]
+/// through, and otherwise reports the last rejected candidate as
+/// [`Error::Corrupted`].
+pub fn load_newest<R, T>(
+    path: &Path,
+    open: impl Fn(&Path) -> std::io::Result<R>,
+    mut decode: impl FnMut(R) -> Result<T>,
+) -> Result<T> {
+    let mut last_err = None;
     for candidate in [path.to_path_buf(), prev_path(path)] {
-        match fs::read(&candidate) {
-            Ok(bytes) => out.push((candidate, bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            // `fs::read` on a directory reports IsADirectory on most
-            // platforms at `read()` time, but some report it at `open()`
-            // time with other kinds; either way it is not NotFound and
-            // lands here.
+        let raw = match open(&candidate) {
+            Ok(raw) => raw,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             Err(e) => return Err(io_err("read candidate", &candidate, e)),
+        };
+        match decode(raw) {
+            Ok(value) => return Ok(value),
+            // An engine without persistence fails every candidate the same
+            // way; report that directly, not as file corruption.
+            Err(err @ Error::Unsupported(_)) => return Err(err),
+            Err(err) => {
+                last_err = Some(Error::corrupted(format!("{}: {err}", candidate.display())));
+            }
         }
     }
-    Ok(out)
+    Err(last_err.unwrap_or_else(|| {
+        Error::Io(format!(
+            "no snapshot found at {} (nor a .prev generation)",
+            path.display()
+        ))
+    }))
 }
 
 #[cfg(test)]
@@ -165,14 +182,30 @@ mod tests {
             .collect()
     }
 
+    /// Every candidate `load_newest` offers, newest first (the decoder
+    /// rejects each one so the walk visits them all).
+    fn visit_all(path: &Path) -> Vec<Vec<u8>> {
+        let mut seen = Vec::new();
+        let _ = load_newest(
+            path,
+            |p| fs::read(p),
+            |bytes| {
+                seen.push(bytes);
+                Err::<(), _>(Error::corrupted("visit the next candidate"))
+            },
+        );
+        seen
+    }
+
     #[test]
     fn write_then_read_round_trips() {
         let dir = scratch_dir("roundtrip");
         let path = dir.join("snap.bin");
         write_atomic(&path, b"generation-1").unwrap();
-        let got = read_candidates(&path).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1, b"generation-1");
+        assert_eq!(
+            load_newest(&path, |p| fs::read(p), Ok).unwrap(),
+            b"generation-1"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -182,10 +215,20 @@ mod tests {
         let path = dir.join("snap.bin");
         write_atomic(&path, b"old").unwrap();
         write_atomic(&path, b"new").unwrap();
-        let got = read_candidates(&path).unwrap();
-        assert_eq!(got.len(), 2, "live + prev");
-        assert_eq!(got[0].1, b"new", "newest first");
-        assert_eq!(got[1].1, b"old", "previous generation preserved");
+        assert_eq!(visit_all(&path), [b"new".to_vec(), b"old".to_vec()]);
+        assert_eq!(load_newest(&path, |p| fs::read(p), Ok).unwrap(), b"new");
+        let reject_new = |b: Vec<u8>| {
+            if b == b"new" {
+                Err(Error::corrupted("rejected"))
+            } else {
+                Ok(b)
+            }
+        };
+        assert_eq!(
+            load_newest(&path, |p| fs::read(p), reject_new).unwrap(),
+            b"old",
+            "a rejected newest generation falls back to the previous one"
+        );
         assert!(
             tmp_files_in(&dir).is_empty(),
             "temp files consumed by rename"
@@ -201,18 +244,17 @@ mod tests {
         write_atomic(&path, b"old").unwrap();
         write_atomic(&path, b"new").unwrap();
         fs::remove_file(&path).unwrap();
-        let got = read_candidates(&path).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1, b"old");
+        assert_eq!(load_newest(&path, |p| fs::read(p), Ok).unwrap(), b"old");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn nothing_persisted_yields_no_candidates() {
         let dir = scratch_dir("empty");
-        assert!(read_candidates(&dir.join("never-written.bin"))
-            .unwrap()
-            .is_empty());
+        let path = dir.join("never-written.bin");
+        assert!(visit_all(&path).is_empty());
+        let err = load_newest(&path, |p| fs::read(p), Ok).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "want Error::Io, got {err:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -225,9 +267,7 @@ mod tests {
         // …the live file is untouched, the next write succeeds, and the
         // stale temp is never served to readers.
         write_atomic(&path, b"good").unwrap();
-        let got = read_candidates(&path).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1, b"good");
+        assert_eq!(visit_all(&path), [b"good".to_vec()]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -235,10 +275,15 @@ mod tests {
     fn unreadable_candidate_is_an_error_not_nothing_persisted() {
         let dir = scratch_dir("unreadable");
         let path = dir.join("snap.bin");
-        // A directory squatting on the snapshot path cannot be `fs::read`;
-        // that must surface as an error, not as "nothing persisted".
+        // A directory squatting on the snapshot path cannot be read; that
+        // must surface as an error, not as "nothing persisted" — and not as
+        // a torn file either, even with a valid previous generation beside
+        // it, whichever way the candidates are opened.
         fs::create_dir(&path).unwrap();
-        let err = read_candidates(&path).unwrap_err();
+        fs::write(prev_path(&path), b"older").unwrap();
+        let err = load_newest(&path, |p| fs::read(p), Ok).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "want Error::Io, got {err:?}");
+        let err = load_newest(&path, crate::mmap::Mmap::open, Ok).unwrap_err();
         assert!(matches!(err, Error::Io(_)), "want Error::Io, got {err:?}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -262,13 +307,12 @@ mod tests {
         });
         // Every candidate (live and rotated) must be exactly one writer's
         // payload — never an interleaving of two.
-        let got = read_candidates(&path).unwrap();
+        let got = visit_all(&path);
         assert!(!got.is_empty());
-        for (who, bytes) in &got {
+        for bytes in &got {
             assert!(
                 payloads.iter().any(|p| p == bytes),
-                "{} holds a torn mix of payloads",
-                who.display()
+                "a candidate holds a torn mix of payloads"
             );
         }
         assert!(

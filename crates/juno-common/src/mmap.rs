@@ -7,9 +7,10 @@
 //! [`Mmap`] maps a whole file read-only ([`Mmap::open`]). On 64-bit unix
 //! hosts it uses the platform `mmap(2)`/`madvise(2)`/`munmap(2)` calls
 //! directly (declared in-tree — the workspace builds without external
-//! crates, and std already links libc on unix). Everywhere else — and when
-//! `JUNO_DISABLE_MMAP` is set in the environment — it falls back to reading
-//! the file into an owned buffer behind the same API, so every consumer is
+//! crates, and std already links libc on unix). Everywhere else, and where
+//! the kernel refuses the mapping, it falls back to reading the file into
+//! an owned buffer behind the same API; [`Mmap::from_bytes`] wraps a buffer
+//! the caller already owns without copying it. Every consumer is therefore
 //! written once against [`Mmap`] and gets portability for free.
 //!
 //! Mapped memory is **read-only** and the file is expected to be immutable
@@ -34,12 +35,6 @@ use crate::error::{Error, Result};
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
-
-/// True when this build can map files (64-bit unix) and the
-/// `JUNO_DISABLE_MMAP` escape hatch is not set.
-pub fn mmap_supported() -> bool {
-    cfg!(all(unix, target_pointer_width = "64")) && std::env::var_os("JUNO_DISABLE_MMAP").is_none()
-}
 
 /// Residency advice for a mapped range, forwarded to `madvise(2)` where
 /// available and ignored by the owned fallback.
@@ -166,25 +161,21 @@ impl Drop for Mmap {
 
 impl Mmap {
     /// Maps `path` read-only, falling back to an owned read of the whole
-    /// file when mapping is unsupported or disabled via `JUNO_DISABLE_MMAP`.
+    /// file where mapping is unsupported or refused.
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] when the file cannot be opened or read.
-    pub fn open(path: &Path) -> Result<Arc<Self>> {
+    /// The I/O error of opening or reading the file, unwrapped so callers
+    /// can tell a missing file (`NotFound`) from an unreadable one.
+    pub fn open(path: &Path) -> std::io::Result<Arc<Self>> {
         #[cfg(all(unix, target_pointer_width = "64"))]
-        if mmap_supported() {
+        {
             use std::os::unix::io::AsRawFd;
-            let file = std::fs::File::open(path)
-                .map_err(|e| Error::Io(format!("open {}: {e}", path.display())))?;
-            let len = file
-                .metadata()
-                .map_err(|e| Error::Io(format!("stat {}: {e}", path.display())))?
-                .len();
+            let file = std::fs::File::open(path)?;
+            let len = file.metadata()?.len();
             if len > usize::MAX as u64 / 2 {
-                return Err(Error::Io(format!(
-                    "map {}: file of {len} bytes exceeds the address space",
-                    path.display()
+                return Err(std::io::Error::other(format!(
+                    "file of {len} bytes exceeds the address space"
                 )));
             }
             let len = len as usize;
@@ -204,23 +195,18 @@ impl Mmap {
             // Zero-length files and exotic filesystems that refuse MAP_SHARED
             // fall through to the owned read below.
         }
-        let bytes =
-            std::fs::read(path).map_err(|e| Error::Io(format!("read {}: {e}", path.display())))?;
-        Ok(Arc::new(Self::from_vec(bytes)))
+        Ok(Self::from_bytes(std::fs::read(path)?))
     }
 
-    /// Wraps an owned buffer behind the [`Mmap`] API (used by the portable
-    /// fallback and by tests that build snapshots in memory).
+    /// Wraps an owned buffer behind the [`Mmap`] API without copying it:
+    /// the portable fallback, and every copy restore (a snapshot read into
+    /// memory is decoded by the same code as a mapped one).
     pub fn from_bytes(bytes: Vec<u8>) -> Arc<Self> {
-        Arc::new(Self::from_vec(bytes))
-    }
-
-    fn from_vec(bytes: Vec<u8>) -> Self {
         let len = bytes.len();
-        Self {
+        Arc::new(Self {
             backing: Backing::Owned(bytes),
             len,
-        }
+        })
     }
 
     /// Total length in bytes.
@@ -551,7 +537,7 @@ mod tests {
     fn missing_file_is_io_error() {
         let dir = scratch("missing");
         let err = Mmap::open(&dir.join("nope.bin")).unwrap_err();
-        assert!(matches!(err, Error::Io(_)), "got {err:?}");
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "got {err:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -629,12 +615,8 @@ mod tests {
     }
 
     #[test]
-    fn disable_env_falls_back_to_owned() {
-        // The env var is read per-open; spawning a child would be overkill
-        // here, so just assert the owned constructor reports unmapped and
-        // that `mmap_supported` honours the variable being absent or not.
+    fn owned_buffers_report_unmapped() {
         let map = Mmap::from_bytes(vec![1, 2, 3]);
         assert!(!map.is_mapped());
-        let _ = mmap_supported();
     }
 }

@@ -23,7 +23,7 @@
 //! * [`pipeline`] — RT + Tensor core stage times and pipelined execution.
 //! * [`analysis`] — the sparsity / locality / threshold studies behind
 //!   Figures 3(b), 4, 5, 6 and 7.
-//! * [`engine`] — [`JunoIndex`](engine::JunoIndex), the end-to-end engine
+//! * [`engine`] — [`JunoIndex`], the end-to-end engine
 //!   implementing [`juno_common::AnnIndex`].
 //!
 //! # Quick start

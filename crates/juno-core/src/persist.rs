@@ -18,41 +18,38 @@
 //! | `IVFC` | centroids, per-point labels, inverted lists (v3 framing)    |
 //! | `PQCB` | per-subspace codebook entry sets                            |
 //! | `CODE` | dataset-order PQ codes (`EncodedPoints`), section version 3 |
-//! | `LAYT` | [`IvfListCodes`] CSR base + append tails + tombstones (v3)  |
+//! | `LAYT` | `IvfListCodes` CSR base + append tails + tombstones (v3)    |
 //! | `THRM` | density maps, regressors, min/max thresholds (v3 framing)   |
 //! | `SCNB` | the per-subspace scene bounds the RT scene is rebuilt from  |
 //!
-//! # Code-width compatibility (`CODE` / `LAYT` section version 2)
+//! # One format, one decoder
 //!
-//! Since the fast-scan PR, PQ codes are stored as `u8` (codebooks are capped
-//! at 256 entries). Versioned sections lead with a `u64::MAX` sentinel — a
-//! value the legacy layout (which began with a count) can never produce —
-//! followed by a `u32` section version. Legacy `u16`-code snapshots are
-//! still read: codes are narrowed with validation, and a legacy snapshot
-//! built with more than 256 entries per subspace (never a shipped
-//! configuration) is rejected as corrupt rather than silently truncated.
-//! The block-interleaved fast-scan view is *not* serialised; it is rebuilt
-//! deterministically from the CSR base on load.
-//!
-//! # Mapped hot sections (`CODE` / `LAYT` section version 3)
-//!
-//! Since the out-of-core PR, the writer emits the hot sections in the exact
-//! in-memory layout (`juno_quant::mapped`): 64-byte-aligned code regions,
+//! The hot sections (`CODE`, `LAYT`) are written in the exact in-memory
+//! layout (`juno_quant::mapped`): 64-byte-aligned code regions, a
 //! per-cluster block directory with checksums, explicit region offsets. The
-//! same bytes can therefore be served **zero-copy** from an mmap'd snapshot
-//! via [`JunoIndex::load_snapshot_mapped`] — restore becomes an O(clusters)
-//! map-and-validate, and cluster contents are verified lazily on first probe
-//! under a configurable residency budget. [`JunoIndex::from_snapshot_bytes`]
-//! still accepts v2 (and legacy) payloads, so old snapshots remain readable;
-//! the copy path and the mapped path produce bit-identical search results.
+//! bulky eager sections (`IVFC`, `THRM`) are framed with a sentinel, a
+//! version and a word-wise FNV body checksum
+//! ([`juno_data::snapshot::fnv1a_w64`]). Readers accept only these current
+//! versions (3); an older or unknown version is rejected as
+//! [`Error::Corrupted`] naming the version found.
 //!
-//! The bulky eager sections (`THRM`, `IVFC`) get a lighter v3 treatment:
-//! their megabytes of density maps and inverted lists would dominate an
-//! O(1) mapped restore if byte-serially checksummed, so the v3 payload
-//! frames the v2 body with a sentinel, a version and a word-wise FNV body
-//! checksum ([`juno_data::snapshot::fnv1a_w64`]) that the mapped path
-//! verifies at restore time instead of the container's byte-serial
-//! checksum. The copy path relies on the container checksum as before.
+//! Every restore runs the same decoder over an [`Mmap`]:
+//!
+//! * [`JunoIndex::load_snapshot_mapped`] maps the file and serves the hot
+//!   sections **zero-copy** — restore is an O(clusters) map-and-validate,
+//!   and cluster contents are verified lazily on first probe under a
+//!   configurable residency budget. `IVFC`/`THRM` are verified by their
+//!   word-wise body checksum instead of the container's byte-serial one.
+//! * [`JunoIndex::load_snapshot`] reads the file into a buffer that
+//!   [`Mmap::from_bytes`] takes without copying, and
+//!   [`JunoIndex::from_snapshot_bytes`] copies borrowed bytes into one. This
+//!   copy restore checksums every section with the container checksum,
+//!   verifies every cluster eagerly and copies the hot arrays into owned
+//!   storage, so the restored index holds no reference to the buffer.
+//!
+//! Both produce bit-identical search results. The block-interleaved
+//! fast-scan view is rebuilt from the codes and checked against the stored
+//! one.
 //!
 //! # Durability
 //!
@@ -72,22 +69,20 @@ use juno_common::atomic_file;
 use juno_common::error::{Error, Result};
 use juno_common::metric::Metric;
 use juno_common::mmap::{MappedBytes, Mmap, ResidencyConfig};
-use juno_common::vector::VectorSet;
 use juno_data::snapshot::{
-    fnv1a_w64, kind, MappedSnapshot, SectionReader, SectionWriter, Snapshot, SnapshotWriter,
+    fnv1a_w64, kind, MappedSnapshot, SectionReader, SectionWriter, SnapshotWriter,
     CONTAINER_HEADER_LEN, SECTION_PREFIX_LEN,
 };
 use juno_gpu::device::GpuDevice;
 use juno_gpu::pipeline::ExecutionMode;
 use juno_quant::codebook::Codebook;
 use juno_quant::ivf::IvfIndex;
-use juno_quant::layout::{IvfListCodes, IvfListCodesParts};
-use juno_quant::pq::{EncodedPoints, ProductQuantizer};
+use juno_quant::pq::ProductQuantizer;
 use juno_rt::hardware::{RtCoreGeneration, RtCoreModel};
 use std::path::Path;
 use std::sync::Arc;
 
-pub use codec::{get_codes, get_ivf, get_metric, get_pq, put_codes, put_ivf, put_metric, put_pq};
+pub use codec::{get_ivf, get_metric, get_pq, put_ivf, put_metric, put_pq};
 
 /// The engine kind word identifying JUNO snapshots.
 pub const KIND_JUNO: u32 = kind(*b"JUNO");
@@ -97,8 +92,9 @@ pub const KIND_JUNO: u32 = kind(*b"JUNO");
 pub const JUNO_LAYOUT_VERSION: u32 = 1;
 
 /// Shared enum/section codecs for the substrate types (`Metric`,
-/// [`IvfIndex`], [`ProductQuantizer`], [`EncodedPoints`]) — also used by the
-/// baseline engines' snapshot implementations.
+/// [`IvfIndex`], [`ProductQuantizer`]) — also used by the baseline engines'
+/// snapshot implementations. Dataset-order codes use the v3 codec of
+/// `juno_quant::mapped`.
 pub mod codec {
     use super::*;
 
@@ -184,90 +180,20 @@ pub mod codec {
         }
         ProductQuantizer::from_parts(codebooks)
     }
-
-    /// Sentinel heading versioned (v2+) code-carrying payloads. Legacy (v1)
-    /// payloads start with the subspace count instead, which can never be
-    /// `u64::MAX`, so the two framings are unambiguous.
-    pub(super) const CODE_FORMAT_SENTINEL: u64 = u64::MAX;
-
-    /// Version written into `CODE` sections (v2 = `u8` codes; v1, the
-    /// unversioned legacy layout, stored `u16`).
-    pub const CODE_SECTION_VERSION: u32 = 2;
-
-    /// Narrows legacy `u16` codes to the `u8` width, rejecting snapshots
-    /// from configurations (entries per subspace > 256) that are no longer
-    /// buildable.
-    pub(super) fn narrow_codes(wide: Vec<u16>) -> Result<Vec<u8>> {
-        wide.into_iter()
-            .map(|c| {
-                u8::try_from(c).map_err(|_| {
-                    Error::corrupted(
-                        "legacy snapshot stores codes above 255 \
-                         (entries_per_subspace > 256 is no longer supported)",
-                    )
-                })
-            })
-            .collect()
-    }
-
-    /// Writes dataset-order PQ codes (v2: `u8` codes).
-    pub fn put_codes(w: &mut SectionWriter, codes: &EncodedPoints) {
-        w.put_u64(CODE_FORMAT_SENTINEL);
-        w.put_u32(CODE_SECTION_VERSION);
-        w.put_u64(codes.num_subspaces() as u64);
-        w.put_u8s(codes.as_flat());
-    }
-
-    /// Reads dataset-order PQ codes, accepting both the v2 `u8` layout and
-    /// the legacy (pre-fast-scan) `u16` layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corrupted`] / [`Error::InvalidConfig`] for malformed
-    /// contents, unknown versions, or legacy codes that do not fit in `u8`.
-    pub fn get_codes(r: &mut SectionReader<'_>) -> Result<EncodedPoints> {
-        let mut probe = r.clone();
-        if probe.get_u64()? == CODE_FORMAT_SENTINEL {
-            let version = probe.get_u32()?;
-            if version != CODE_SECTION_VERSION {
-                return Err(Error::corrupted(format!(
-                    "unknown CODE section version {version} \
-                     (reader supports {CODE_SECTION_VERSION} and legacy)"
-                )));
-            }
-            let subspaces = probe.get_usize()?;
-            let flat = probe.get_u8s()?;
-            *r = probe;
-            return EncodedPoints::from_parts(flat, subspaces);
-        }
-        // Legacy layout: subspace count first, u16 codes.
-        let subspaces = r.get_usize()?;
-        let flat = narrow_codes(r.get_u16s()?)?;
-        EncodedPoints::from_parts(flat, subspaces)
-    }
 }
 
-/// Probes whether a `CODE`/`LAYT` payload uses the mapped (v3) layout: the
-/// `u64::MAX` sentinel followed by section version 3. v2 payloads share the
-/// sentinel but carry version 2; legacy payloads start with a count.
-fn payload_is_v3(payload: &[u8]) -> bool {
-    payload.len() >= 12
-        && payload[..8] == juno_quant::mapped::MAPPED_SENTINEL.to_le_bytes()
-        && payload[8..12] == juno_quant::mapped::LAYOUT_MAPPED_VERSION.to_le_bytes()
-}
-
-/// Version of the v3 framed payload layout used by the bulky eager sections
-/// (`THRM`, `IVFC`): sentinel + version + word-wise body checksum + the v2
-/// body. Those sections are a couple of megabytes of density maps and
-/// inverted lists, so they ride the lazy set in the mapped container parse —
-/// this framing is what still gets them verified at restore, at word (not
-/// byte) FNV throughput.
+/// Version of the framed payload layout of the bulky eager sections
+/// (`THRM`, `IVFC`): sentinel + version + word-wise body checksum + body.
+/// Those sections are a couple of megabytes of density maps and inverted
+/// lists, so they ride the lazy set of a mapped container parse — this
+/// framing is what still gets them verified there, at word (not byte) FNV
+/// throughput.
 const FRAMED_SECTION_VERSION: u32 = 3;
-/// Byte length of the v3 framing header (sentinel + version + checksum).
-const FRAMED_V3_HEADER: usize = 16;
+/// Byte length of the framing header (sentinel + version + checksum).
+const FRAMED_HEADER: usize = 16;
 
-/// Wraps a section body in the v3 framing (sentinel, version, word-wise
-/// body checksum).
+/// Wraps a section body in the framing (sentinel, version, word-wise body
+/// checksum).
 fn frame_v3(body: SectionWriter) -> SectionWriter {
     let body = body.finish();
     let mut framed = SectionWriter::new();
@@ -278,18 +204,28 @@ fn frame_v3(body: SectionWriter) -> SectionWriter {
     framed
 }
 
-/// Splits a v3-framed payload into its claimed body checksum and body, or
-/// `None` for a v2 payload (`THRM` starts with a small subspace count and
-/// `IVFC` with a metric discriminant byte, never the sentinel).
-fn framed_v3_parts(payload: &[u8]) -> Option<(u32, &[u8])> {
-    if payload.len() < FRAMED_V3_HEADER
+/// Opens a framed `tag` section of `snap`: checks the sentinel and version,
+/// verifies the word-wise body checksum and returns a reader over the body.
+fn framed_body<'a>(snap: &'a MappedSnapshot, tag: [u8; 4]) -> Result<SectionReader<'a>> {
+    let payload = snap.section_reader(tag)?.take_rest();
+    let name = String::from_utf8_lossy(&tag);
+    if payload.len() < FRAMED_HEADER
         || payload[..8] != juno_quant::mapped::MAPPED_SENTINEL.to_le_bytes()
-        || payload[8..12] != FRAMED_SECTION_VERSION.to_le_bytes()
     {
-        return None;
+        return Err(Error::corrupted(format!("{name}: missing section framing")));
     }
-    let checksum = u32::from_le_bytes(payload[12..16].try_into().expect("4 bytes"));
-    Some((checksum, &payload[FRAMED_V3_HEADER..]))
+    let version = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
+    if version != FRAMED_SECTION_VERSION {
+        return Err(Error::corrupted(format!(
+            "{name}: unknown section version {version} (reader supports {FRAMED_SECTION_VERSION})"
+        )));
+    }
+    let claimed = u32::from_le_bytes(payload[12..16].try_into().expect("4 bytes"));
+    let body = &payload[FRAMED_HEADER..];
+    if fnv1a_w64(body) != claimed {
+        return Err(Error::corrupted(format!("{name}: body checksum mismatch")));
+    }
+    Ok(SectionReader::over(body))
 }
 
 fn put_device(w: &mut SectionWriter, d: &GpuDevice) {
@@ -457,72 +393,6 @@ fn get_config(r: &mut SectionReader<'_>) -> Result<JunoConfig> {
     })
 }
 
-fn put_layout(w: &mut SectionWriter, layout: &IvfListCodes) {
-    let parts = layout.to_parts();
-    w.put_u64(codec::CODE_FORMAT_SENTINEL);
-    w.put_u32(codec::CODE_SECTION_VERSION);
-    w.put_u32s(&parts.offsets);
-    w.put_u32s(&parts.point_ids);
-    w.put_u8s(&parts.codes);
-    w.put_u64(parts.num_subspaces as u64);
-    w.put_u64(parts.extra_ids.len() as u64);
-    for (ids, codes) in parts.extra_ids.iter().zip(&parts.extra_codes) {
-        w.put_u32s(ids);
-        w.put_u8s(codes);
-    }
-    w.put_bools(&parts.deleted);
-    w.put_u32(parts.next_id);
-}
-
-fn get_layout(r: &mut SectionReader<'_>) -> Result<IvfListCodes> {
-    // v2 layouts lead with the code-format sentinel; legacy layouts start
-    // with the length prefix of the offsets array, which cannot be u64::MAX.
-    let mut probe = r.clone();
-    let v2 = probe.get_u64()? == codec::CODE_FORMAT_SENTINEL;
-    if v2 {
-        let version = probe.get_u32()?;
-        if version != codec::CODE_SECTION_VERSION {
-            return Err(Error::corrupted(format!(
-                "unknown LAYT section version {version} \
-                 (reader supports {} and legacy)",
-                codec::CODE_SECTION_VERSION
-            )));
-        }
-        *r = probe;
-    }
-    let offsets = r.get_u32s()?;
-    let point_ids = r.get_u32s()?;
-    let codes = if v2 {
-        r.get_u8s()?
-    } else {
-        codec::narrow_codes(r.get_u16s()?)?
-    };
-    let num_subspaces = r.get_usize()?;
-    let clusters = r.get_usize()?;
-    let mut extra_ids = Vec::with_capacity(clusters.min(1 << 20));
-    let mut extra_codes = Vec::with_capacity(clusters.min(1 << 20));
-    for _ in 0..clusters {
-        extra_ids.push(r.get_u32s()?);
-        extra_codes.push(if v2 {
-            r.get_u8s()?
-        } else {
-            codec::narrow_codes(r.get_u16s()?)?
-        });
-    }
-    let deleted = r.get_bools()?;
-    let next_id = r.get_u32()?;
-    IvfListCodes::from_parts(IvfListCodesParts {
-        offsets,
-        point_ids,
-        codes,
-        num_subspaces,
-        extra_ids,
-        extra_codes,
-        deleted,
-        next_id,
-    })
-}
-
 fn put_threshold_model(w: &mut SectionWriter, model: &ThresholdModel) {
     let subspaces = model.subspaces_raw();
     w.put_u64(subspaces.len() as u64);
@@ -647,81 +517,77 @@ impl JunoIndex {
     /// simulator are reconstructed deterministically from the restored
     /// artefacts, so searches are bit-identical to the snapshotted index.
     ///
+    /// The bytes are copied once into an owned buffer and decoded like a
+    /// mapped file, strictly: every section is checksummed and the restored
+    /// index is fully RAM-resident (see the module docs).
+    ///
     /// # Errors
     ///
     /// Returns [`Error::Corrupted`] for malformed or cross-inconsistent
     /// snapshots; never panics on arbitrary input.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self> {
-        let snap = Snapshot::parse(bytes)?;
+        let map = Mmap::from_bytes(bytes.to_vec());
+        Self::decode(&map, 0, map.len(), None)
+    }
+
+    /// The one snapshot decoder, over the region `offset..offset + len` of
+    /// `map`. With a `residency` budget the hot sections are served
+    /// zero-copy and verified lazily (the mapped restore); without one,
+    /// every section is checksummed up front and the hot sections are
+    /// verified and copied into owned storage, so the result holds no
+    /// reference to `map` (the copy restore).
+    fn decode(
+        map: &Arc<Mmap>,
+        offset: usize,
+        len: usize,
+        residency: Option<&ResidencyConfig>,
+    ) -> Result<Self> {
+        // The mapped restore leaves the bulky sections to their own,
+        // finer-grained checksums; the copy restore verifies every byte
+        // with the container checksum as well.
+        let lazy = |tag: &[u8; 4]| {
+            residency.is_some() && matches!(tag, b"CODE" | b"LAYT" | b"THRM" | b"IVFC")
+        };
+        let snap = MappedSnapshot::parse(map.clone(), offset, len, lazy)?;
         if snap.kind() != KIND_JUNO {
             return Err(Error::corrupted(format!(
                 "snapshot kind {:#010x} is not a JUNO engine snapshot",
                 snap.kind()
             )));
         }
-        let mut r = snap.section(*b"CONF")?;
-        let config = get_config(&mut r)?;
+        let mut r = snap.section_reader(*b"CONF")?;
+        let mut config = get_config(&mut r)?;
         r.expect_end()?;
-        let ivf = {
-            let mut r = snap.section(*b"IVFC")?;
-            let payload = r.take_rest();
-            // As for THRM below: the container checksum already covered the
-            // whole payload, so the framing's body checksum is not
-            // re-verified on this (copy) path.
-            let mut r = match framed_v3_parts(payload) {
-                Some((_, body)) => SectionReader::over(body),
-                None => snap.section(*b"IVFC")?,
-            };
-            let ivf = get_ivf(&mut r)?;
-            r.expect_end()?;
-            ivf
-        };
-        let mut r = snap.section(*b"PQCB")?;
+        let mut r = framed_body(&snap, *b"IVFC")?;
+        let ivf = get_ivf(&mut r)?;
+        r.expect_end()?;
+        let mut r = snap.section_reader(*b"PQCB")?;
         let pq = get_pq(&mut r)?;
         r.expect_end()?;
-        let codes = {
-            let mut r = snap.section(*b"CODE")?;
-            let payload = r.take_rest();
-            if payload_is_v3(payload) {
-                juno_quant::mapped::decode_codes_v3(payload)?
-            } else {
-                let mut r = snap.section(*b"CODE")?;
-                let codes = get_codes(&mut r)?;
-                r.expect_end()?;
-                codes
-            }
+
+        let (code_off, code_len) = snap.section_range(*b"CODE")?;
+        let code_bytes = MappedBytes::new(map.clone(), code_off, code_len)?;
+        let (layt_off, layt_len) = snap.section_range(*b"LAYT")?;
+        let layt_bytes = MappedBytes::new(map.clone(), layt_off, layt_len)?;
+        let (codes, list_codes) = match residency {
+            Some(residency) => (
+                juno_quant::mapped::map_codes_v3(code_bytes)?,
+                juno_quant::mapped::map_layout_v3(layt_bytes, residency)?,
+            ),
+            None => (
+                juno_quant::mapped::decode_codes_v3(code_bytes.as_slice())?,
+                juno_quant::mapped::decode_layout_v3(layt_bytes)?,
+            ),
         };
-        let list_codes = {
-            let mut r = snap.section(*b"LAYT")?;
-            let payload = r.take_rest();
-            if payload_is_v3(payload) {
-                juno_quant::mapped::decode_layout_v3(payload)?
-            } else {
-                let mut r = snap.section(*b"LAYT")?;
-                let layout = get_layout(&mut r)?;
-                r.expect_end()?;
-                layout
-            }
-        };
-        let threshold_model = {
-            let mut r = snap.section(*b"THRM")?;
-            let payload = r.take_rest();
-            // The container checksum already covered the whole payload, so
-            // the v3 framing's own body checksum need not be re-verified on
-            // this (copy) path.
-            let mut r = match framed_v3_parts(payload) {
-                Some((_, body)) => SectionReader::over(body),
-                None => snap.section(*b"THRM")?,
-            };
-            let model = get_threshold_model(&mut r)?;
-            r.expect_end()?;
-            model
-        };
-        let mut r = snap.section(*b"SCNB")?;
+
+        let mut r = framed_body(&snap, *b"THRM")?;
+        let threshold_model = get_threshold_model(&mut r)?;
+        r.expect_end()?;
+        let mut r = snap.section_reader(*b"SCNB")?;
         let scene_bounds = r.get_f32s()?;
         r.expect_end()?;
         let raw = if snap.has_section(*b"RAWV") {
-            let mut r = snap.section(*b"RAWV")?;
+            let mut r = snap.section_reader(*b"RAWV")?;
             let raw = r.get_vector_set()?;
             r.expect_end()?;
             Some(raw)
@@ -729,7 +595,7 @@ impl JunoIndex {
             None
         };
         let drift = if snap.has_section(*b"DRFT") {
-            let mut r = snap.section(*b"DRFT")?;
+            let mut r = snap.section_reader(*b"DRFT")?;
             let drift = get_drift(&mut r)?;
             r.expect_end()?;
             Some(drift)
@@ -737,35 +603,6 @@ impl JunoIndex {
             None
         };
 
-        Self::assemble(
-            config,
-            ivf,
-            pq,
-            codes,
-            list_codes,
-            threshold_model,
-            scene_bounds,
-            raw,
-            drift,
-        )
-    }
-
-    /// Validates cross-section consistency and assembles the engine,
-    /// deterministically rebuilding the RT scene and the GPU simulator.
-    /// Shared by the copy ([`JunoIndex::from_snapshot_bytes`]) and mapped
-    /// ([`JunoIndex::from_mapped`]) restore paths.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        mut config: JunoConfig,
-        ivf: IvfIndex,
-        pq: ProductQuantizer,
-        codes: EncodedPoints,
-        list_codes: IvfListCodes,
-        threshold_model: ThresholdModel,
-        scene_bounds: Vec<f32>,
-        raw: Option<VectorSet>,
-        drift: Option<crate::drift::DriftTracker>,
-    ) -> Result<Self> {
         // The restored configuration must satisfy the same invariants
         // JunoIndex::build enforces (positive nprobs, threshold_scale in
         // (0, 1] and not NaN, ...): a degenerate config must fail the
@@ -813,6 +650,7 @@ impl JunoIndex {
         }
         config.retain_vectors = raw.is_some();
 
+        // The RT scene and the GPU simulator rebuild deterministically.
         let mapping = Self::build_mapping(&pq, config.metric, &scene_bounds)?;
         let simulator = QuerySimulator::new(
             config.device.clone(),
@@ -836,45 +674,6 @@ impl JunoIndex {
         })
     }
 
-    /// Serialises the engine with v2 (pre-mapped) `CODE`/`LAYT` payloads.
-    ///
-    /// Exists so compatibility tests and benchmarks can produce the exact
-    /// bytes older writers emitted; production saves always write v3.
-    #[doc(hidden)]
-    pub fn to_snapshot_bytes_v2(&self) -> Vec<u8> {
-        let mut writer = SnapshotWriter::new(KIND_JUNO);
-
-        let mut conf = SectionWriter::new();
-        put_config(&mut conf, self.config());
-        writer.add_section(*b"CONF", conf);
-
-        let mut ivfc = SectionWriter::new();
-        put_ivf(&mut ivfc, &self.ivf);
-        writer.add_section(*b"IVFC", ivfc);
-
-        let mut pqcb = SectionWriter::new();
-        put_pq(&mut pqcb, &self.pq);
-        writer.add_section(*b"PQCB", pqcb);
-
-        let mut code = SectionWriter::new();
-        put_codes(&mut code, &self.codes);
-        writer.add_section(*b"CODE", code);
-
-        let mut layt = SectionWriter::new();
-        put_layout(&mut layt, &self.list_codes);
-        writer.add_section(*b"LAYT", layt);
-
-        let mut thrm = SectionWriter::new();
-        put_threshold_model(&mut thrm, &self.threshold_model);
-        writer.add_section(*b"THRM", thrm);
-
-        let mut scnb = SectionWriter::new();
-        scnb.put_f32s(&self.scene_bounds);
-        writer.add_section(*b"SCNB", scnb);
-
-        writer.finish()
-    }
-
     /// Writes the snapshot to `path` **atomically**: the bytes go to a temp
     /// file in the same directory, are fsynced, and replace the destination
     /// via rename, rotating any previous snapshot to a `.prev` generation.
@@ -896,29 +695,22 @@ impl JunoIndex {
     }
 
     /// Loads an engine from a snapshot file (fully into memory), falling
-    /// back to the `.prev` generation when the newest file is torn.
+    /// back to the `.prev` generation when the newest file is torn. The
+    /// file is read into a buffer that the decoder takes without copying.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors and [`JunoIndex::from_snapshot_bytes`] failures
-    /// of the newest readable candidate.
+    /// Returns [`Error::Io`] when no generation exists or one cannot be
+    /// read, and the decoding failure of the last candidate otherwise.
     pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        let mut last_err = None;
-        for (candidate, bytes) in atomic_file::read_candidates(path)? {
-            match Self::from_snapshot_bytes(&bytes) {
-                Ok(index) => return Ok(index),
-                Err(err) => {
-                    last_err = Some(Error::corrupted(format!("{}: {err}", candidate.display())))
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            Error::Io(format!(
-                "no snapshot found at {} (nor a .prev generation)",
-                path.display()
-            ))
-        }))
+        atomic_file::load_newest(
+            path.as_ref(),
+            |p| std::fs::read(p),
+            |bytes| {
+                let map = Mmap::from_bytes(bytes);
+                Self::decode(&map, 0, map.len(), None)
+            },
+        )
     }
 
     /// Rebuilds an engine from an already-mapped snapshot region, serving
@@ -926,12 +718,10 @@ impl JunoIndex {
     ///
     /// Eager sections (config, codebooks, bounds) are checksum-verified and
     /// copied out immediately; the IVF index and the threshold model are
-    /// verified with their v3 word-wise body checksums and copied out; v3
-    /// hot sections are structurally validated up front (offsets, bounds,
+    /// verified with their word-wise body checksums and copied out; the hot
+    /// sections are structurally validated up front (offsets, bounds,
     /// metadata checksum) while their cluster contents are verified lazily
     /// on first probe under `residency` (see `juno_quant::residency`).
-    /// Snapshots whose sections still use the v2 payloads fall back to the
-    /// copy decoders transparently.
     ///
     /// # Errors
     ///
@@ -943,121 +733,7 @@ impl JunoIndex {
         len: usize,
         residency: &ResidencyConfig,
     ) -> Result<Self> {
-        let snap = MappedSnapshot::parse(map.clone(), offset, len, |tag: &[u8; 4]| {
-            tag == b"CODE" || tag == b"LAYT" || tag == b"THRM" || tag == b"IVFC"
-        })?;
-        if snap.kind() != KIND_JUNO {
-            return Err(Error::corrupted(format!(
-                "snapshot kind {:#010x} is not a JUNO engine snapshot",
-                snap.kind()
-            )));
-        }
-        let mut r = snap.section_reader(*b"CONF")?;
-        let config = get_config(&mut r)?;
-        r.expect_end()?;
-        let ivf = {
-            let (ivfc_off, ivfc_len) = snap.section_range(*b"IVFC")?;
-            let payload = MappedBytes::new(map.clone(), ivfc_off, ivfc_len)?;
-            // IVFC and THRM (below) sit in the lazy set of the container
-            // parse; their v3 framing carries a word-wise body checksum
-            // verified here, an order of magnitude faster than the
-            // container's byte-serial FNV over megabytes of inverted lists
-            // and density maps. v2 payloads (no framing) pay the
-            // byte-serial container checksum instead.
-            let mut r = match framed_v3_parts(payload.as_slice()) {
-                Some((claimed, body)) => {
-                    if fnv1a_w64(body) != claimed {
-                        return Err(Error::corrupted("IVFC: body checksum mismatch"));
-                    }
-                    SectionReader::over(body)
-                }
-                None => {
-                    snap.verify_section(*b"IVFC")?;
-                    snap.section_reader(*b"IVFC")?
-                }
-            };
-            let ivf = get_ivf(&mut r)?;
-            r.expect_end()?;
-            ivf
-        };
-        let mut r = snap.section_reader(*b"PQCB")?;
-        let pq = get_pq(&mut r)?;
-        r.expect_end()?;
-
-        let (code_off, code_len) = snap.section_range(*b"CODE")?;
-        let code_bytes = MappedBytes::new(map.clone(), code_off, code_len)?;
-        let codes = if payload_is_v3(code_bytes.as_slice()) {
-            juno_quant::mapped::map_codes_v3(code_bytes)?
-        } else {
-            snap.verify_section(*b"CODE")?;
-            let mut r = snap.section_reader(*b"CODE")?;
-            let codes = get_codes(&mut r)?;
-            r.expect_end()?;
-            codes
-        };
-
-        let (layt_off, layt_len) = snap.section_range(*b"LAYT")?;
-        let layt_bytes = MappedBytes::new(map.clone(), layt_off, layt_len)?;
-        let list_codes = if payload_is_v3(layt_bytes.as_slice()) {
-            juno_quant::mapped::map_layout_v3(layt_bytes, residency)?
-        } else {
-            snap.verify_section(*b"LAYT")?;
-            let mut r = snap.section_reader(*b"LAYT")?;
-            let layout = get_layout(&mut r)?;
-            r.expect_end()?;
-            layout
-        };
-
-        let threshold_model = {
-            let (thrm_off, thrm_len) = snap.section_range(*b"THRM")?;
-            let payload = MappedBytes::new(map.clone(), thrm_off, thrm_len)?;
-            let mut r = match framed_v3_parts(payload.as_slice()) {
-                Some((claimed, body)) => {
-                    if fnv1a_w64(body) != claimed {
-                        return Err(Error::corrupted("THRM: body checksum mismatch"));
-                    }
-                    SectionReader::over(body)
-                }
-                None => {
-                    snap.verify_section(*b"THRM")?;
-                    snap.section_reader(*b"THRM")?
-                }
-            };
-            let model = get_threshold_model(&mut r)?;
-            r.expect_end()?;
-            model
-        };
-        let mut r = snap.section_reader(*b"SCNB")?;
-        let scene_bounds = r.get_f32s()?;
-        r.expect_end()?;
-        let raw = if snap.has_section(*b"RAWV") {
-            let mut r = snap.section_reader(*b"RAWV")?;
-            let raw = r.get_vector_set()?;
-            r.expect_end()?;
-            Some(raw)
-        } else {
-            None
-        };
-        let drift = if snap.has_section(*b"DRFT") {
-            let mut r = snap.section_reader(*b"DRFT")?;
-            let drift = get_drift(&mut r)?;
-            r.expect_end()?;
-            Some(drift)
-        } else {
-            None
-        };
-
-        Self::assemble(
-            config,
-            ivf,
-            pq,
-            codes,
-            list_codes,
-            threshold_model,
-            scene_bounds,
-            raw,
-            drift,
-        )
+        Self::decode(map, offset, len, Some(residency))
     }
 
     /// Opens a snapshot file with `mmap` and serves its hot sections
@@ -1066,33 +742,16 @@ impl JunoIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when no candidate file exists and propagates
-    /// the mapping/validation error of the newest readable candidate.
+    /// Returns [`Error::Io`] when no generation exists or one cannot be
+    /// opened, and the mapping/validation error of the last candidate
+    /// otherwise.
     pub fn load_snapshot_mapped(
         path: impl AsRef<Path>,
         residency: &ResidencyConfig,
     ) -> Result<Self> {
-        let path = path.as_ref();
-        let mut last_err = None;
-        for candidate in [path.to_path_buf(), atomic_file::prev_path(path)] {
-            if !candidate.exists() {
-                continue;
-            }
-            let attempt = Mmap::open(&candidate)
-                .and_then(|map| Self::from_mapped(&map, 0, map.len(), residency));
-            match attempt {
-                Ok(index) => return Ok(index),
-                Err(err) => {
-                    last_err = Some(Error::corrupted(format!("{}: {err}", candidate.display())))
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            Error::Io(format!(
-                "no snapshot found at {} (nor a .prev generation)",
-                path.display()
-            ))
-        }))
+        atomic_file::load_newest(path.as_ref(), Mmap::open, |map| {
+            Self::from_mapped(&map, 0, map.len(), residency)
+        })
     }
 }
 
@@ -1137,6 +796,23 @@ mod tests {
         assert_eq!(restored.len(), index.len());
         assert_eq!(restored.config(), index.config());
         assert!(index.supports_snapshot());
+    }
+
+    #[test]
+    fn copy_restore_holds_no_reference_to_the_snapshot_buffer() {
+        let (ds, index) = small_index(17);
+        let map = Mmap::from_bytes(index.to_snapshot_bytes());
+        let copied = JunoIndex::decode(&map, 0, map.len(), None).unwrap();
+        assert!(!copied.is_mapped());
+        assert_eq!(Arc::strong_count(&map), 1, "copy restore keeps no view");
+        let mapped =
+            JunoIndex::from_mapped(&map, 0, map.len(), &ResidencyConfig::default()).unwrap();
+        assert!(mapped.is_mapped());
+        assert!(
+            Arc::strong_count(&map) > 1,
+            "mapped restore serves from the map"
+        );
+        assert_eq!(results_bits(&copied, &ds), results_bits(&mapped, &ds));
     }
 
     #[test]

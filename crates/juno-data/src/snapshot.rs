@@ -27,19 +27,22 @@
 //! bit-exactly — the basis of the "search results are bit-identical after
 //! reload" guarantee.
 //!
-//! # Versioning / compatibility policy
+//! # Versioning policy
 //!
-//! * The container version is bumped only when this framing changes; readers
-//!   reject any version they do not know (no silent best-effort parsing).
-//! * Sections are looked up by tag, so engines may *add* sections without a
-//!   container bump; an engine bumps its own kind-specific layout by writing
-//!   a version field inside its `CONF` section.
+//! * Readers accept only the current versions — of this container and of
+//!   every section layout inside it — and reject anything else with
+//!   [`Error::Corrupted`] naming the version they found (no silent
+//!   best-effort parsing, no decoders kept for older layouts).
+//! * Sections are looked up by tag, so engines may *add* optional sections
+//!   without a container bump; an engine versions its own layout with a
+//!   field inside its `CONF` section or a header inside each section.
 //! * Every read is bounds- and checksum-checked and returns
 //!   [`Error::Corrupted`] on any mismatch — malformed snapshots must never
 //!   panic, however they were truncated or bit-flipped.
 
 use juno_common::error::{Error, Result};
-use std::path::Path;
+use juno_common::mmap::Mmap;
+use std::sync::Arc;
 
 /// The 8-byte magic prefix of every snapshot.
 pub const MAGIC: [u8; 8] = *b"JUNOSNAP";
@@ -170,14 +173,6 @@ impl SectionWriter {
         self.buf.is_empty()
     }
 
-    /// Appends a length-prefixed `u16` slice.
-    pub fn put_u16s(&mut self, vs: &[u16]) {
-        self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
     /// Appends a length-prefixed `u32` slice.
     pub fn put_u32s(&mut self, vs: &[u32]) {
         self.put_u64(vs.len() as u64);
@@ -267,42 +262,67 @@ impl SnapshotWriter {
     }
 }
 
-/// Writes snapshot bytes to a file through the crash-safe
-/// [`atomic_file::write_atomic`](juno_common::atomic_file::write_atomic)
-/// protocol (temp + fsync + rename, previous generation rotated to
-/// `<path>.prev`).
-///
-/// Deprecated: call `write_atomic` directly — this wrapper survives only so
-/// old call sites keep compiling, and no longer offers anything over it.
-/// Before it delegated, a crash mid-write corrupted the only copy on disk,
-/// which is why every save helper now routes through the atomic protocol.
-///
-/// # Errors
-///
-/// Returns [`Error::Io`] when the file cannot be written.
-#[deprecated(note = "use juno_common::atomic_file::write_atomic directly")]
-pub fn write_snapshot_file(path: impl AsRef<Path>, bytes: &[u8]) -> Result<()> {
-    juno_common::atomic_file::write_atomic(path.as_ref(), bytes)
-}
-
-/// Reads snapshot bytes from a file.
-///
-/// Reads only the live generation at `path`; restore paths that want
-/// torn-write recovery iterate
-/// [`atomic_file::read_candidates`](juno_common::atomic_file::read_candidates)
-/// instead, falling back to `<path>.prev` when the live file is missing or
-/// fails validation.
-///
-/// # Errors
-///
-/// Returns [`Error::Io`] when the file cannot be read.
-pub fn read_snapshot_file(path: impl AsRef<Path>) -> Result<Vec<u8>> {
-    Ok(std::fs::read(path.as_ref())?)
-}
-
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
+
+/// One entry of a walked section table: tag, payload offset relative to the
+/// container start, payload length and stored checksum.
+type SectionEntry = ([u8; 4], usize, usize, u32);
+
+/// Walks a container's header and section table — magic, version, framing,
+/// bounds, tag uniqueness — checksumming every payload `is_lazy` does not
+/// claim. Returns the engine kind and the table sorted by tag, so lookups
+/// are O(log n) (with per-cluster section tables a linear scan per lookup
+/// would be O(n²) in the section count).
+fn walk_sections(
+    bytes: &[u8],
+    is_lazy: impl Fn(&[u8; 4]) -> bool,
+) -> Result<(u32, Vec<SectionEntry>)> {
+    let mut cur = SectionReader { bytes };
+    if cur.take(8)? != MAGIC {
+        return Err(corrupted("bad magic"));
+    }
+    let version = cur.get_u32()?;
+    if version != FORMAT_VERSION {
+        return Err(corrupted(format!(
+            "unknown container version {version} (reader supports {FORMAT_VERSION})"
+        )));
+    }
+    let kind = cur.get_u32()?;
+    let count = cur.get_u32()? as usize;
+    let mut sections = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        let tag: [u8; 4] = cur.take(4)?.try_into().expect("take(4) yields 4 bytes");
+        let len = usize::try_from(cur.get_u64()?)
+            .map_err(|_| corrupted("section length exceeds address space"))?;
+        let checksum = cur.get_u32()?;
+        let at = bytes.len() - cur.bytes.len();
+        let payload = cur.take(len)?;
+        if !is_lazy(&tag) && fnv1a(payload) != checksum {
+            return Err(corrupted(format!(
+                "checksum mismatch in section {:?}",
+                String::from_utf8_lossy(&tag)
+            )));
+        }
+        sections.push((tag, at, len, checksum));
+    }
+    if !cur.bytes.is_empty() {
+        return Err(corrupted("trailing bytes after final section"));
+    }
+    sections.sort_unstable_by_key(|&(tag, ..)| tag);
+    if sections.windows(2).any(|w| w[0].0 == w[1].0) {
+        return Err(corrupted("duplicate section tag"));
+    }
+    Ok((kind, sections))
+}
+
+fn missing(tag: [u8; 4]) -> Error {
+    corrupted(format!(
+        "missing section {:?}",
+        String::from_utf8_lossy(&tag)
+    ))
+}
 
 /// A parsed snapshot: validated header plus checksummed sections, borrowed
 /// from the input bytes.
@@ -320,44 +340,11 @@ impl<'a> Snapshot<'a> {
     ///
     /// Returns [`Error::Corrupted`] for any malformed input; never panics.
     pub fn parse(bytes: &'a [u8]) -> Result<Self> {
-        let mut cur = SectionReader { bytes };
-        let magic = cur.take(8)?;
-        if magic != MAGIC {
-            return Err(corrupted("bad magic"));
-        }
-        let version = cur.get_u32()?;
-        if version != FORMAT_VERSION {
-            return Err(corrupted(format!(
-                "unknown container version {version} (reader supports {FORMAT_VERSION})"
-            )));
-        }
-        let kind = cur.get_u32()?;
-        let count = cur.get_u32()? as usize;
-        let mut sections: Vec<([u8; 4], &[u8])> = Vec::new();
-        for _ in 0..count {
-            let tag: [u8; 4] = cur.take(4)?.try_into().expect("take(4) yields 4 bytes");
-            let len = usize::try_from(cur.get_u64()?)
-                .map_err(|_| corrupted("section length exceeds address space"))?;
-            let checksum = cur.get_u32()?;
-            let payload = cur.take(len)?;
-            if fnv1a(payload) != checksum {
-                return Err(corrupted(format!(
-                    "checksum mismatch in section {:?}",
-                    String::from_utf8_lossy(&tag)
-                )));
-            }
-            sections.push((tag, payload));
-        }
-        if !cur.bytes.is_empty() {
-            return Err(corrupted("trailing bytes after final section"));
-        }
-        // Sort the table once so lookups are O(log n) and duplicates become
-        // adjacent — with per-cluster section tables (out-of-core layout) a
-        // linear `any()` per insert is O(n²) in the section count.
-        sections.sort_unstable_by_key(|&(tag, _)| tag);
-        if sections.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(corrupted("duplicate section tag"));
-        }
+        let (kind, table) = walk_sections(bytes, |_| false)?;
+        let sections = table
+            .into_iter()
+            .map(|(tag, at, len, _)| (tag, &bytes[at..at + len]))
+            .collect();
         Ok(Self { kind, sections })
     }
 
@@ -383,12 +370,7 @@ impl<'a> Snapshot<'a> {
             .map(|i| SectionReader {
                 bytes: self.sections[i].1,
             })
-            .map_err(|_| {
-                corrupted(format!(
-                    "missing section {:?}",
-                    String::from_utf8_lossy(&tag)
-                ))
-            })
+            .map_err(|_| missing(tag))
     }
 
     /// Whether a section with the given tag is present — lets decoders
@@ -400,25 +382,25 @@ impl<'a> Snapshot<'a> {
     }
 }
 
-/// A snapshot parsed *in place* over a shared [`Mmap`] region — the
-/// zero-copy twin of [`Snapshot::parse`].
+/// A snapshot parsed *in place* over a shared [`Mmap`] region — what every
+/// engine and fleet restore decodes from, whether the region is a real
+/// mapping or a buffer read into memory ([`Mmap::from_bytes`]).
 ///
-/// [`Snapshot::parse`] checksums every payload, which touches every byte
-/// and would fault the whole file into memory — the opposite of what an
-/// out-of-core restore wants. `MappedSnapshot` walks the same framing and
-/// validates the header, section table, bounds and tag uniqueness, but
-/// checksums only the sections its `is_lazy` predicate rejects. Lazy
-/// sections (the big CODE/LAYT payloads, fleet shard sections) record their
-/// absolute payload range and expected checksum instead; their consumers
-/// either carry finer-grained per-cluster checksums verified on first touch
-/// or call [`MappedSnapshot::verify_section`] before copying.
+/// It walks the same framing as [`Snapshot::parse`] but checksums only the
+/// sections its `is_lazy` predicate rejects: a copy restore passes an empty
+/// lazy set and so verifies every byte, while an out-of-core restore leaves
+/// the big payloads (CODE/LAYT, fleet shard sections) lazy instead of
+/// faulting the whole file in. Lazy sections record their absolute payload
+/// range and expected checksum; their consumers either carry finer-grained
+/// checksums verified on first touch or call
+/// [`MappedSnapshot::verify_section`].
 #[derive(Debug)]
 pub struct MappedSnapshot {
-    map: std::sync::Arc<juno_common::mmap::Mmap>,
+    map: Arc<Mmap>,
     kind: u32,
     /// `(tag, absolute payload offset, payload length, stored checksum)`,
     /// sorted by tag.
-    sections: Vec<([u8; 4], usize, usize, u32)>,
+    sections: Vec<SectionEntry>,
 }
 
 impl MappedSnapshot {
@@ -430,7 +412,7 @@ impl MappedSnapshot {
     /// Returns [`Error::Corrupted`] for any malformed framing, out-of-range
     /// section, duplicate tag or eager-section checksum mismatch.
     pub fn parse(
-        map: std::sync::Arc<juno_common::mmap::Mmap>,
+        map: Arc<Mmap>,
         off: usize,
         len: usize,
         is_lazy: impl Fn(&[u8; 4]) -> bool,
@@ -439,43 +421,9 @@ impl MappedSnapshot {
             .checked_add(len)
             .filter(|&e| e <= map.len())
             .ok_or_else(|| corrupted("snapshot range exceeds the mapped file"))?;
-        let bytes = &map.as_slice()[off..end];
-        let mut cur = SectionReader { bytes };
-        if cur.take(8)? != MAGIC {
-            return Err(corrupted("bad magic"));
-        }
-        let version = cur.get_u32()?;
-        if version != FORMAT_VERSION {
-            return Err(corrupted(format!(
-                "unknown container version {version} (reader supports {FORMAT_VERSION})"
-            )));
-        }
-        let kind = cur.get_u32()?;
-        let count = cur.get_u32()? as usize;
-        let mut sections: Vec<([u8; 4], usize, usize, u32)> = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let tag: [u8; 4] = cur.take(4)?.try_into().expect("take(4) yields 4 bytes");
-            let sec_len = usize::try_from(cur.get_u64()?)
-                .map_err(|_| corrupted("section length exceeds address space"))?;
-            let checksum = cur.get_u32()?;
-            // The payload's absolute offset is recoverable from how much of
-            // `bytes` the cursor has consumed so far.
-            let consumed = bytes.len() - cur.bytes.len();
-            let payload = cur.take(sec_len)?;
-            if !is_lazy(&tag) && fnv1a(payload) != checksum {
-                return Err(corrupted(format!(
-                    "checksum mismatch in section {:?}",
-                    String::from_utf8_lossy(&tag)
-                )));
-            }
-            sections.push((tag, off + consumed, sec_len, checksum));
-        }
-        if !cur.bytes.is_empty() {
-            return Err(corrupted("trailing bytes after final section"));
-        }
-        sections.sort_unstable_by_key(|&(tag, ..)| tag);
-        if sections.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(corrupted("duplicate section tag"));
+        let (kind, mut sections) = walk_sections(&map.as_slice()[off..end], is_lazy)?;
+        for entry in &mut sections {
+            entry.1 += off;
         }
         Ok(Self {
             map,
@@ -495,7 +443,7 @@ impl MappedSnapshot {
     }
 
     /// The shared mapping this snapshot was parsed from.
-    pub fn map(&self) -> &std::sync::Arc<juno_common::mmap::Mmap> {
+    pub fn map(&self) -> &Arc<Mmap> {
         &self.map
     }
 
@@ -504,16 +452,11 @@ impl MappedSnapshot {
         self.sections.iter().map(|&(tag, ..)| tag)
     }
 
-    fn entry(&self, tag: [u8; 4]) -> Result<&([u8; 4], usize, usize, u32)> {
+    fn entry(&self, tag: [u8; 4]) -> Result<&SectionEntry> {
         self.sections
             .binary_search_by_key(&tag, |&(t, ..)| t)
             .map(|i| &self.sections[i])
-            .map_err(|_| {
-                corrupted(format!(
-                    "missing section {:?}",
-                    String::from_utf8_lossy(&tag)
-                ))
-            })
+            .map_err(|_| missing(tag))
     }
 
     /// The absolute `(offset, length)` of a section's payload within the
@@ -545,8 +488,8 @@ impl MappedSnapshot {
         })
     }
 
-    /// Checksums a (lazy) section in full — the copy-path fallback uses
-    /// this before deserializing a section it will not verify lazily.
+    /// Checksums a (lazy) section in full, for consumers that must verify
+    /// a lazily-parsed section before trusting it.
     ///
     /// # Errors
     ///
@@ -734,20 +677,6 @@ impl<'a> SectionReader<'a> {
         self.take(self.bytes.len()).expect("length is exact")
     }
 
-    /// Reads a length-prefixed `u16` slice.
-    ///
-    /// # Errors
-    ///
-    /// See [`SectionReader::get_u8`].
-    pub fn get_u16s(&mut self) -> Result<Vec<u16>> {
-        let n = self.slice_len(2)?;
-        let bytes = self.take(n * 2)?;
-        Ok(bytes
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes(c.try_into().expect("chunks_exact(2)")))
-            .collect())
-    }
-
     /// Reads a length-prefixed `u32` slice.
     ///
     /// # Errors
@@ -827,7 +756,6 @@ mod tests {
         let mut b = SectionWriter::new();
         b.put_bools(&[true, false, true]);
         b.put_u8s(&[9, 0, 255]);
-        b.put_u16s(&[1, 2, 65535]);
         b.put_u32s(&[10, 20]);
         b.put_u64s(&[u64::MAX]);
         b.put_f32s(&[0.25, f32::NAN]);
@@ -842,7 +770,7 @@ mod tests {
     #[test]
     fn mapped_parse_matches_copy_parse() {
         let bytes = sample_snapshot();
-        let map = juno_common::mmap::Mmap::from_bytes(bytes.clone());
+        let map = Mmap::from_bytes(bytes.clone());
         let snap = MappedSnapshot::parse(map, 0, bytes.len(), |_| false).unwrap();
         assert_eq!(snap.kind(), K);
         assert_eq!(snap.num_sections(), 2);
@@ -862,7 +790,7 @@ mod tests {
         let mut file = vec![0xABu8; 100];
         file.extend_from_slice(&inner);
         file.extend_from_slice(&[0xCD; 7]);
-        let map = juno_common::mmap::Mmap::from_bytes(file);
+        let map = Mmap::from_bytes(file);
         let snap = MappedSnapshot::parse(map, 100, inner.len(), |_| false).unwrap();
         assert_eq!(snap.kind(), K);
         let (off, _) = snap.section_range(*b"AAAA").unwrap();
@@ -884,7 +812,7 @@ mod tests {
         bytes[n - 1] ^= 0xFF;
         // Eager parse rejects it…
         assert!(Snapshot::parse(&bytes).is_err());
-        let map = juno_common::mmap::Mmap::from_bytes(bytes);
+        let map = Mmap::from_bytes(bytes);
         // …mapped parse with BBBB lazy defers the check…
         let snap = MappedSnapshot::parse(map.clone(), 0, n, |tag| tag == b"BBBB").unwrap();
         // …and verify_section catches it on demand.
@@ -898,7 +826,7 @@ mod tests {
     fn mapped_parse_never_panics_on_truncation_or_garbage() {
         let bytes = sample_snapshot();
         for len in 0..bytes.len() {
-            let map = juno_common::mmap::Mmap::from_bytes(bytes[..len].to_vec());
+            let map = Mmap::from_bytes(bytes[..len].to_vec());
             assert!(
                 MappedSnapshot::parse(map, 0, len, |_| true).is_err(),
                 "truncation to {len} bytes must be rejected"
@@ -913,7 +841,7 @@ mod tests {
                     (rng >> 33) as u8
                 })
                 .collect();
-            let map = juno_common::mmap::Mmap::from_bytes(garbage);
+            let map = Mmap::from_bytes(garbage);
             let _ = MappedSnapshot::parse(map, 0, len, |_| true);
         }
     }
@@ -940,7 +868,6 @@ mod tests {
         let mut b = snap.section(*b"BBBB").unwrap();
         assert_eq!(b.get_bools().unwrap(), vec![true, false, true]);
         assert_eq!(b.get_u8s().unwrap(), vec![9, 0, 255]);
-        assert_eq!(b.get_u16s().unwrap(), vec![1, 2, 65535]);
         assert_eq!(b.get_u32s().unwrap(), vec![10, 20]);
         assert_eq!(b.get_u64s().unwrap(), vec![u64::MAX]);
         let f32s = b.get_f32s().unwrap();
@@ -957,8 +884,7 @@ mod tests {
     #[test]
     fn raw_bytes_and_take_rest_support_container_surgery() {
         // Copy one section of an existing snapshot verbatim into a new
-        // container (the tool the back-compat tests use to synthesise
-        // legacy-format snapshots).
+        // container (the tool tests use to rewrite a single section).
         let bytes = sample_snapshot();
         let snap = Snapshot::parse(&bytes).unwrap();
         let payload = snap.section(*b"AAAA").unwrap().take_rest().to_vec();
@@ -974,16 +900,18 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the wrapper must keep working until it is removed
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("juno_snapshot_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("container.snap");
         let bytes = sample_snapshot();
-        write_snapshot_file(&path, &bytes).unwrap();
-        assert_eq!(read_snapshot_file(&path).unwrap(), bytes);
+        juno_common::atomic_file::write_atomic(&path, &bytes).unwrap();
+        let map = Mmap::open(&path).unwrap();
+        let snap = MappedSnapshot::parse(map, 0, bytes.len(), |_| false).unwrap();
+        assert_eq!(snap.kind(), K);
+        assert_eq!(snap.num_sections(), 2);
         std::fs::remove_file(&path).ok();
-        assert!(read_snapshot_file("/nonexistent/juno.snap").is_err());
+        std::fs::remove_file(juno_common::atomic_file::prev_path(&path)).ok();
     }
 
     #[test]

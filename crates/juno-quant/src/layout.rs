@@ -1,7 +1,7 @@
 //! IVF-list-contiguous PQ code layout for cache-friendly ADC scans, with
 //! dynamic mutation support.
 //!
-//! [`EncodedPoints`](crate::pq::EncodedPoints) stores codes in dataset order,
+//! [`EncodedPoints`] stores codes in dataset order,
 //! which is the natural output of encoding but the worst possible order for
 //! the online path: a probe visits the members of *one* coarse cluster, and
 //! in dataset order those members are scattered across the whole code array,
@@ -36,7 +36,7 @@
 //!
 //! Alongside the point-major base block, every cluster keeps a second,
 //! derived view of the same codes: [`BlockCodes`], the base segment
-//! transposed into blocks of [`BLOCK_LANES`](juno_common::kernel::BLOCK_LANES)
+//! transposed into blocks of [`BLOCK_LANES`]
 //! (32) points. Within a block the codes are subspace-major — one LUT entry
 //! serves 32 contiguous lanes — which is the shape the quantised fast-scan
 //! kernel (`juno_common::kernel`) consumes; when every code of the cluster

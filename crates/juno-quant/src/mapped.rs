@@ -1,16 +1,14 @@
 //! The v3 ("mapped") binary layout of the hot snapshot sections, and its
 //! encoders/decoders.
 //!
-//! v2 snapshot sections store the code layout as a stream of length-prefixed
-//! vectors — compact, but restoring means deserialize-copying every byte
-//! into fresh allocations. The v3 layout instead stores the hot arrays
-//! (base point ids, point-major codes, the block-interleaved fast-scan
-//! view) **in their exact in-memory representation**, padded so each array
-//! starts 64-byte aligned *in the file*, with explicit offsets in a fixed
-//! header. A reader can then serve the arrays zero-copy straight out of an
-//! `mmap` of the snapshot ([`map_layout_v3`]) — restore cost is
-//! O(clusters) header/directory validation, not O(index bytes) — or copy
-//! them out for the portable RAM-resident path ([`decode_layout_v3`]).
+//! The v3 layout stores the hot arrays (base point ids, point-major codes,
+//! the block-interleaved fast-scan view) **in their exact in-memory
+//! representation**, padded so each array starts 64-byte aligned *in the
+//! file*, with explicit offsets in a fixed header. A reader can then serve
+//! the arrays zero-copy straight out of an `mmap` of the snapshot
+//! ([`map_layout_v3`]) — restore cost is O(clusters) header/directory
+//! validation, not O(index bytes) — or verify and copy them out for a
+//! RAM-resident index ([`decode_layout_v3`]).
 //!
 //! Integrity is split in two tiers so an out-of-core restore does not
 //! fault the whole file in:
@@ -22,7 +20,7 @@
 //!   directory's `nibble`/`max_code` bytes, so a flipped directory byte
 //!   cannot silently change block geometry) — verified lazily on the
 //!   cluster's first probe by
-//!   [`ResidencySet`](crate::residency::ResidencySet), which also rebuilds
+//!   [`ResidencySet`], which also rebuilds
 //!   the block view from the codes and requires bit-identity.
 //!
 //! Alignment is an optimisation, never a correctness requirement: if the
@@ -30,10 +28,9 @@
 //! silently fall back to owned decoded copies
 //! ([`U32Store::from_le_bytes`]), and the byte arrays need no alignment.
 //!
-//! Both payloads open with the `u64::MAX` sentinel + a `u32` version, the
-//! same in-band versioning scheme the v2 sections use (a legitimate legacy
-//! length prefix can never be `u64::MAX`), so v2 snapshots remain readable
-//! through the copy path.
+//! Both payloads open with the `u64::MAX` sentinel + a `u32` version.
+//! Readers accept only version 3; any other version is rejected as
+//! corruption naming the version found.
 
 use crate::layout::{BlockCodes, IvfListCodes};
 use crate::pq::{EncodedPoints, LazyCodeMeta};
@@ -43,7 +40,7 @@ use juno_common::mmap::{ByteStore, MappedBytes, Mmap, ResidencyConfig, U32Store}
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-/// In-band sentinel marking a versioned (non-legacy) section payload.
+/// In-band sentinel opening every versioned section payload.
 pub const MAPPED_SENTINEL: u64 = u64::MAX;
 /// The mapped layout version this module writes for the LAYT section.
 pub const LAYOUT_MAPPED_VERSION: u32 = 3;
@@ -442,7 +439,7 @@ fn parse_layout_v3(b: &[u8]) -> Result<LayoutV3> {
 /// Opens a v3 layout payload **zero-copy** over its mapped bytes: eager
 /// regions are validated now (meta checksum, shapes, bounds), the hot
 /// arrays become views into the mapping, and a
-/// [`ResidencySet`](crate::residency::ResidencySet) built from `config`
+/// [`ResidencySet`] built from `config`
 /// verifies each cluster on first probe.
 ///
 /// # Errors
@@ -507,20 +504,19 @@ pub fn map_layout_v3(bytes: MappedBytes, config: &ResidencyConfig) -> Result<Ivf
     })
 }
 
-/// Decodes a v3 layout payload into a fully **owned** RAM-resident layout —
-/// the copy path, chosen when mapping is unavailable or the caller passed
-/// plain bytes. Every cluster is verified eagerly and the result passes the
-/// full [`IvfListCodes::from_parts`] invariant validation (including global
-/// id uniqueness, which the lazy mapped path deliberately trusts to the
+/// Decodes a v3 layout payload into a fully **owned** RAM-resident layout
+/// that holds no reference to `bytes`' mapping — the copy restore. It opens
+/// the payload exactly as [`map_layout_v3`] does, verifies every cluster
+/// eagerly, then copies the hot arrays out; the result passes the full
+/// [`IvfListCodes::from_parts`] invariant validation (including global id
+/// uniqueness, which the lazy mapped path deliberately trusts to the
 /// per-cluster checksums).
 ///
 /// # Errors
 ///
 /// Returns [`Error::Corrupted`] for any validation failure.
-pub fn decode_layout_v3(payload: &[u8]) -> Result<IvfListCodes> {
-    let map = Mmap::from_bytes(payload.to_vec());
-    let len = map.len();
-    let mapped = map_layout_v3(MappedBytes::new(map, 0, len)?, &ResidencyConfig::default())?;
+pub fn decode_layout_v3(bytes: MappedBytes) -> Result<IvfListCodes> {
+    let mapped = map_layout_v3(bytes, &ResidencyConfig::default())?;
     mapped.ensure_resident_all()?;
     IvfListCodes::from_parts(mapped.to_parts())
 }
@@ -617,7 +613,7 @@ pub fn map_codes_v3(bytes: MappedBytes) -> Result<EncodedPoints> {
 }
 
 /// Decodes a CODE v3 payload into owned, eagerly-verified codes (the copy
-/// path).
+/// restore of every engine that stores dataset-order codes).
 ///
 /// # Errors
 ///
@@ -702,9 +698,15 @@ mod tests {
         }
         assert_eq!(mapped.max_code(), g.max_code());
 
-        let copied = decode_layout_v3(&payload).unwrap();
+        let (map, off, len) = file_with(&payload, 24);
+        let copied = decode_layout_v3(MappedBytes::new(map.clone(), off, len).unwrap()).unwrap();
         assert!(!copied.is_mapped());
         assert_eq!(copied, g);
+        assert_eq!(
+            Arc::strong_count(&map),
+            1,
+            "the copy holds no view of the map"
+        );
     }
 
     #[test]
@@ -818,7 +820,8 @@ mod tests {
             assert!(r.is_err(), "truncation to {len} bytes must be rejected");
         }
         assert!(map_at(&[0xAB; 300], 0, &ResidencyConfig::default()).is_err());
-        assert!(decode_layout_v3(&[0xAB; 300]).is_err());
+        let (map, off, len) = file_with(&[0xAB; 300], 0);
+        assert!(decode_layout_v3(MappedBytes::new(map, off, len).unwrap()).is_err());
         assert!(decode_codes_v3(&[0xAB; 300]).is_err());
     }
 

@@ -5,7 +5,7 @@
 //! The relative numbers follow the sources the paper itself cites:
 //!
 //! * Ada (Gen-3) RT cores have ~2× the ray–triangle/box throughput of Ampere
-//!   (Gen-2) RT cores (NVIDIA Ada white paper, cited as [54]).
+//!   (Gen-2) RT cores (NVIDIA Ada white paper, cited as \[54\]).
 //! * A100 has **no** RT cores; OptiX falls back to a CUDA-core software
 //!   traversal, which the paper observes to erase JUNO's advantage at high
 //!   recall (Fig. 14(a)). The fallback is modelled as a large per-test cost

@@ -17,8 +17,9 @@
 //! * [`BackgroundCompactor`] — periodic per-shard compaction off the read
 //!   path, surviving (counting, logging, backing off from) sweep failures.
 //! * `SHRD` snapshots ([`KIND_SHARD`]) — whole-fleet persistence framing
-//!   each shard engine's own snapshot, with legacy unsharded snapshots
-//!   restoring into a single-shard fleet; `save_to_path` /
+//!   each shard engine's own snapshot; readers accept only `SHRD`
+//!   containers at the current versions, restored by one decoder whether
+//!   the file is read or mapped. `save_to_path` /
 //!   [`ShardedIndex::from_snapshot_path`] add the crash-safe on-disk
 //!   protocol (write-temp + fsync + atomic rename, with a rotated `.prev`
 //!   generation for torn-write recovery).
@@ -316,7 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_snapshot_round_trips_and_legacy_restores_to_one_shard() {
+    fn fleet_snapshot_round_trips() {
         let fleet = ShardedIndex::from_monolith(
             MiniIndex::new(grid_rows(80)),
             4,
@@ -339,17 +340,14 @@ mod tests {
             "fleet snapshot",
         );
 
-        // Legacy unsharded engine snapshot → single-shard fleet.
-        let mono = MiniIndex::new(grid_rows(40));
-        let legacy = mono.snapshot().unwrap();
-        let mut fleet2 = fleet;
-        fleet2.restore_from_bytes(&legacy).unwrap();
-        assert_eq!(fleet2.num_shards(), 1);
-        assert_bit_identical(
-            &fleet2.search(&[1.0, 0.0], 5).unwrap(),
-            &mono.search(&[1.0, 0.0], 5).unwrap(),
-            "legacy restore",
-        );
+        // Plain engine bytes are not a fleet snapshot.
+        let mut fleet = fleet;
+        let engine_bytes = MiniIndex::new(grid_rows(40)).snapshot().unwrap();
+        assert!(matches!(
+            fleet.restore_from_bytes(&engine_bytes),
+            Err(Error::Corrupted(_))
+        ));
+        assert_eq!(fleet.num_shards(), 4, "a rejected restore changes nothing");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Whole-fleet persistence: the `SHRD` snapshot container.
 //!
-//! A fleet snapshot reuses the PR 2 container format (`juno-data`'s
-//! `snapshot` module) with engine kind [`KIND_SHARD`]:
+//! A fleet snapshot reuses the container format of `juno-data`'s `snapshot`
+//! module with engine kind [`KIND_SHARD`]:
 //!
 //! * a `MANI` manifest section — format version, ownership mode (global-id
 //!   vs mapped), the [`ShardRouter`], the shard count and the per-shard live
@@ -10,21 +10,19 @@
 //!   id maps;
 //! * one `S000`, `S001`, … section per shard, each holding that shard
 //!   engine's **own** snapshot bytes verbatim (so every engine keeps its
-//!   established format, checksums and back-compat story — the fleet layer
-//!   only frames them).
+//!   own format and checksums — the fleet layer only frames them).
 //!
-//! Shard sections are framed (framing v2) as a `u64::MAX` sentinel, a
-//! `u32` framing version and a `u32` pad length followed by that many zero
-//! bytes, placing the engine bytes at a 64-byte-aligned absolute file
-//! offset — the alignment the engines' own mapped (v3) hot sections assume,
-//! so a fleet snapshot can be served zero-copy from an mmap'd file
-//! ([`decode_fleet_mapped`]). Legacy length-prefixed shard sections are
-//! still decoded.
+//! Each shard section is a `u64::MAX` sentinel, a `u32` framing version and
+//! a `u32` pad length followed by that many zero bytes, placing the engine
+//! bytes at a 64-byte-aligned absolute file offset — the alignment the
+//! engines' mapped hot sections assume, so a fleet snapshot can be served
+//! zero-copy from an mmap'd file. Readers accept only the current manifest
+//! and framing versions, and only `SHRD` containers.
 //!
-//! Restore accepts a second shape: bytes whose container kind is *not*
-//! `SHRD` are treated as a legacy unsharded engine snapshot and restore
-//! into a single-shard fleet — old single-index deployments upgrade to the
-//! serving layer without a migration step.
+//! One decoder (`decode_fleet`) serves both restores over an [`Mmap`]: a
+//! copy restore checksums every section and restores each shard engine from
+//! its bytes; a mapped restore leaves the shard sections lazy and restores
+//! each engine zero-copy from its region of the map.
 
 use crate::router::{ShardRouter, MAX_SHARDS};
 use crate::shard::{FleetReader, ShardState};
@@ -32,10 +30,9 @@ use juno_common::error::{Error, Result};
 use juno_common::index::AnnIndex;
 use juno_common::mmap::{Mmap, ResidencyConfig};
 use juno_data::snapshot::{
-    kind, MappedSnapshot, SectionReader, SectionWriter, Snapshot, SnapshotWriter,
-    CONTAINER_HEADER_LEN, SECTION_PREFIX_LEN,
+    kind, MappedSnapshot, SectionReader, SectionWriter, SnapshotWriter, CONTAINER_HEADER_LEN,
+    SECTION_PREFIX_LEN,
 };
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The engine-kind word of fleet snapshots.
@@ -44,14 +41,13 @@ pub const KIND_SHARD: u32 = kind(*b"SHRD");
 /// The manifest layout version written inside `MANI`.
 const MANIFEST_VERSION: u32 = 1;
 
-/// Sentinel leading framed (v2) shard sections; the legacy framing starts
-/// with a `u64` length prefix, which can never be `u64::MAX`.
+/// Sentinel leading every shard section.
 const SHARD_SECTION_SENTINEL: u64 = u64::MAX;
 
 /// Version of the aligned shard-section framing.
 const SHARD_SECTION_VERSION: u32 = 2;
 
-/// Bytes of the v2 framing header (sentinel + version + pad length).
+/// Bytes of the framing header (sentinel + version + pad length).
 const SHARD_FRAME_HEADER: usize = 16;
 
 /// Alignment of the embedded engine bytes within the fleet file — matches
@@ -67,6 +63,10 @@ fn shard_tag(s: usize) -> [u8; 4] {
         b'0' + ((s / 10) % 10) as u8,
         b'0' + (s % 10) as u8,
     ]
+}
+
+fn is_shard_tag(tag: &[u8; 4]) -> bool {
+    tag[0] == b'S' && tag[1..].iter().all(u8::is_ascii_digit)
 }
 
 /// Serialises a pinned fleet view into `SHRD` container bytes.
@@ -127,127 +127,64 @@ pub(crate) fn encode_fleet<I: AnnIndex>(
     Ok(writer.finish())
 }
 
-/// Extracts the embedded engine snapshot bytes from one shard section,
-/// accepting both the aligned sentinel framing (v2) and the legacy `u64`
-/// length prefix.
-fn shard_engine_bytes<'a>(s: usize, r: &mut SectionReader<'a>) -> Result<Cow<'a, [u8]>> {
-    let mut probe = r.clone();
-    if probe.get_u64()? == SHARD_SECTION_SENTINEL {
-        let fmt = probe.get_u32()?;
-        if fmt != SHARD_SECTION_VERSION {
-            return Err(corrupted(format!(
-                "unknown shard section framing {fmt} \
-                 (reader supports {SHARD_SECTION_VERSION} and legacy)"
-            )));
-        }
-        let pad = probe.get_u32()? as usize;
-        let rest = probe.take_rest();
-        if pad > rest.len() {
-            return Err(corrupted(format!(
-                "shard {s} section padding overruns the payload"
-            )));
-        }
-        *r = probe;
-        return Ok(Cow::Borrowed(&rest[pad..]));
+/// The offset of the embedded engine snapshot within shard `s`'s section
+/// payload (it runs to the payload's end), after checking the framing.
+fn shard_engine_offset(s: usize, payload: &[u8]) -> Result<usize> {
+    if payload.len() < SHARD_FRAME_HEADER || payload[..8] != SHARD_SECTION_SENTINEL.to_le_bytes() {
+        return Err(corrupted(format!("shard {s} section is not framed")));
     }
-    let sub = r.get_u8s()?;
-    r.expect_end()?;
-    Ok(Cow::Owned(sub))
+    let fmt = u32::from_le_bytes(payload[8..12].try_into().expect("4-byte slice"));
+    if fmt != SHARD_SECTION_VERSION {
+        return Err(corrupted(format!(
+            "unknown shard section framing {fmt} (reader supports {SHARD_SECTION_VERSION})"
+        )));
+    }
+    let pad = u32::from_le_bytes(payload[12..16].try_into().expect("4-byte slice")) as usize;
+    if pad > payload.len() - SHARD_FRAME_HEADER {
+        return Err(corrupted(format!(
+            "shard {s} section padding overruns the payload"
+        )));
+    }
+    Ok(SHARD_FRAME_HEADER + pad)
 }
 
-/// The outcome of decoding fleet bytes: the shard states to publish and the
-/// router recorded in the manifest (`None` for legacy unsharded snapshots,
-/// where the caller keeps its current router).
+/// The outcome of decoding a fleet snapshot: the shard states to publish
+/// and the router recorded in the manifest.
 pub(crate) struct DecodedFleet<I> {
     pub states: Vec<ShardState<I>>,
-    pub router: Option<ShardRouter>,
+    pub router: ShardRouter,
 }
 
 fn corrupted(msg: impl std::fmt::Display) -> Error {
     Error::corrupted(format!("sharded snapshot: {msg}"))
 }
 
-/// Decodes `SHRD` container bytes (or a legacy unsharded engine snapshot)
-/// into shard states, restoring each shard into a clone of `prototype`.
+/// Decodes the `SHRD` snapshot held by `map` into shard states, restoring
+/// each shard into a clone of `prototype`.
+///
+/// Without a `residency` budget this is the copy restore: every section is
+/// checksummed and each shard engine restores from its own bytes
+/// ([`AnnIndex::restore`]), so at most one shard's payload is held twice at
+/// any moment. With one, the shard sections stay lazy and each engine
+/// restores zero-copy from its aligned region of the map
+/// ([`AnnIndex::restore_mapped`]; engines without mapped support copy).
+///
 /// Fully validates before returning, so a caller can swap its state
 /// atomically: on error nothing has been published.
 pub(crate) fn decode_fleet<I: AnnIndex + Clone>(
-    bytes: &[u8],
-    prototype: &I,
-    base_epoch: u64,
-) -> Result<DecodedFleet<I>> {
-    let snap = Snapshot::parse(bytes)?;
-    if snap.kind() != KIND_SHARD {
-        // Legacy unsharded engine snapshot → a single-shard fleet. The
-        // engine's own restore validates the kind word and payload.
-        let mut engine = prototype.clone();
-        engine.restore(bytes)?;
-        return Ok(DecodedFleet {
-            states: vec![ShardState::new(engine, base_epoch, None)],
-            router: None,
-        });
-    }
-
-    let mut mani = snap.section(*b"MANI")?;
-    let manifest = parse_manifest(&mut mani)?;
-    let id_maps: Option<Vec<Arc<Vec<u64>>>> = if manifest.mapped {
-        let mut imap = snap.section(*b"IMAP")?;
-        Some(parse_id_maps(&mut imap, manifest.num_shards)?)
-    } else {
-        None
-    };
-
-    let mut states = Vec::with_capacity(manifest.num_shards);
-    for s in 0..manifest.num_shards {
-        let mut section = snap.section(shard_tag(s))?;
-        let sub = shard_engine_bytes(s, &mut section)?;
-        let mut engine = prototype.clone();
-        engine.restore(&sub)?;
-        let id_map = id_maps.as_ref().map(|maps| maps[s].clone());
-        validate_shard(s, &engine, &manifest, id_map.as_deref())?;
-        states.push(ShardState::new(engine, base_epoch, id_map));
-    }
-    Ok(DecodedFleet {
-        states,
-        router: Some(manifest.router),
-    })
-}
-
-/// Decodes a fleet snapshot **in place** from an mmap'd file: the manifest
-/// and id maps are parsed and checksum-verified eagerly, while the shard
-/// sections stay lazy — each shard engine restores zero-copy from its
-/// aligned region of the map via [`AnnIndex::restore_mapped`] (engines
-/// without mapped support transparently copy). Bytes whose container kind
-/// is not `SHRD` restore as a legacy unsharded engine snapshot into a
-/// single-shard fleet, also mapped.
-///
-/// Fully validates before returning, exactly like [`decode_fleet`]: on
-/// error nothing has been published.
-pub(crate) fn decode_fleet_mapped<I: AnnIndex + Clone>(
     map: &Arc<Mmap>,
     prototype: &I,
     base_epoch: u64,
-    residency: &ResidencyConfig,
+    residency: Option<&ResidencyConfig>,
 ) -> Result<DecodedFleet<I>> {
-    let bytes = map.as_slice();
-    // Peek the container kind before parsing: a legacy unsharded engine
-    // snapshot must be handed to the engine whole, with the engine's own
-    // notion of which sections stay lazy.
-    let file_kind = (bytes.len() >= CONTAINER_HEADER_LEN
-        && bytes[..8] == juno_data::snapshot::MAGIC)
-        .then(|| u32::from_le_bytes(bytes[12..16].try_into().expect("4-byte slice")));
-    if file_kind != Some(KIND_SHARD) {
-        let mut engine = prototype.clone();
-        engine.restore_mapped(map, 0, map.len(), residency)?;
-        return Ok(DecodedFleet {
-            states: vec![ShardState::new(engine, base_epoch, None)],
-            router: None,
-        });
+    let lazy = |tag: &[u8; 4]| residency.is_some() && is_shard_tag(tag);
+    let snap = MappedSnapshot::parse(map.clone(), 0, map.len(), lazy)?;
+    if snap.kind() != KIND_SHARD {
+        return Err(corrupted(format!(
+            "container kind {:#010x} is not a fleet snapshot",
+            snap.kind()
+        )));
     }
-
-    let is_shard_section =
-        |tag: &[u8; 4]| tag[0] == b'S' && tag[1..].iter().all(u8::is_ascii_digit);
-    let snap = MappedSnapshot::parse(map.clone(), 0, map.len(), is_shard_section)?;
     let mut mani = snap.section_reader(*b"MANI")?;
     let manifest = parse_manifest(&mut mani)?;
     let id_maps: Option<Vec<Arc<Vec<u64>>>> = if manifest.mapped {
@@ -259,54 +196,21 @@ pub(crate) fn decode_fleet_mapped<I: AnnIndex + Clone>(
 
     let mut states = Vec::with_capacity(manifest.num_shards);
     for s in 0..manifest.num_shards {
-        let tag = shard_tag(s);
-        let (off, len) = snap.section_range(tag)?;
-        let slice = &map.as_slice()[off..off + len];
-        let (engine_off, engine_len) = if slice.len() >= SHARD_FRAME_HEADER
-            && slice[..8] == SHARD_SECTION_SENTINEL.to_le_bytes()
-        {
-            let fmt = u32::from_le_bytes(slice[8..12].try_into().expect("4-byte slice"));
-            if fmt != SHARD_SECTION_VERSION {
-                return Err(corrupted(format!(
-                    "unknown shard section framing {fmt} \
-                     (reader supports {SHARD_SECTION_VERSION} and legacy)"
-                )));
-            }
-            let pad = u32::from_le_bytes(slice[12..16].try_into().expect("4-byte slice")) as usize;
-            if pad > slice.len() - SHARD_FRAME_HEADER {
-                return Err(corrupted(format!(
-                    "shard {s} section padding overruns the payload"
-                )));
-            }
-            (
-                off + SHARD_FRAME_HEADER + pad,
-                len - SHARD_FRAME_HEADER - pad,
-            )
-        } else {
-            // Legacy length-prefixed framing predates the mapped engine
-            // sections, so there is nothing lazily verifiable inside;
-            // checksum the section like the copy path would.
-            snap.verify_section(tag)?;
-            if slice.len() < 8 {
-                return Err(corrupted(format!("shard {s} section too short")));
-            }
-            let n = u64::from_le_bytes(slice[..8].try_into().expect("8-byte slice"));
-            if n != (slice.len() - 8) as u64 {
-                return Err(corrupted(format!(
-                    "shard {s} section length prefix does not match the payload"
-                )));
-            }
-            (off + 8, len - 8)
-        };
+        let (off, len) = snap.section_range(shard_tag(s))?;
+        let section = &map.as_slice()[off..off + len];
+        let at = shard_engine_offset(s, section)?;
         let mut engine = prototype.clone();
-        engine.restore_mapped(map, engine_off, engine_len, residency)?;
+        match residency {
+            None => engine.restore(&section[at..])?,
+            Some(residency) => engine.restore_mapped(map, off + at, len - at, residency)?,
+        }
         let id_map = id_maps.as_ref().map(|maps| maps[s].clone());
         validate_shard(s, &engine, &manifest, id_map.as_deref())?;
         states.push(ShardState::new(engine, base_epoch, id_map));
     }
     Ok(DecodedFleet {
         states,
-        router: Some(manifest.router),
+        router: manifest.router,
     })
 }
 

@@ -64,9 +64,11 @@ use crate::fault::{FaultOp, FaultPlan};
 use crate::health::{BreakerConfig, BreakerState, HealthTracker, RetryPolicy};
 use crate::persist;
 use crate::router::{ShardRouter, MAX_SHARDS};
+use juno_common::atomic_file::load_newest;
 use juno_common::error::{Error, Result};
 use juno_common::index::{AnnIndex, DriftReport, SearchResult, SearchStats};
 use juno_common::metrics::{Registry, RegistrySnapshot};
+use juno_common::mmap::Mmap;
 use juno_common::parallel;
 use juno_common::topk::{merge_neighbors, ScoreOrder};
 use juno_common::vector::VectorSet;
@@ -877,10 +879,11 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
         Ok(Self::assemble(shards, router))
     }
 
-    /// Restores a fleet from snapshot bytes, using `prototype` as the engine
-    /// to decode per-shard state into (any instance of the right engine
-    /// type). Accepts both `SHRD` fleet snapshots and legacy unsharded
-    /// engine snapshots (which restore into a single-shard fleet).
+    /// Restores a fleet from `SHRD` snapshot bytes, using `prototype` as
+    /// the engine to decode per-shard state into (any instance of the right
+    /// engine type). The bytes are copied once into an owned buffer; callers
+    /// that own the bytes already should restore from a file
+    /// ([`ShardedIndex::from_snapshot_path`]), which hands its buffer over.
     ///
     /// # Errors
     ///
@@ -1148,10 +1151,11 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
     }
 
     /// Replaces this fleet with the state decoded from `bytes` — the
-    /// inverse of [`ShardedIndex::to_snapshot_bytes`]. Legacy unsharded
-    /// engine snapshots are accepted and restore into a single-shard fleet
-    /// (the router is kept). On any error the fleet is left untouched;
-    /// epochs continue monotonically across a successful restore.
+    /// inverse of [`ShardedIndex::to_snapshot_bytes`]. Only `SHRD` fleet
+    /// snapshots are accepted. The bytes are copied once into an owned
+    /// buffer and decoded strictly: every section is checksummed. On any
+    /// error the fleet is left untouched; epochs continue monotonically
+    /// across a successful restore.
     ///
     /// A successful restore **detaches** any attached WAL: the restored
     /// state has no relationship to the log's op history, so continuing to
@@ -1164,22 +1168,15 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
     /// Returns [`Error::Corrupted`] for malformed bytes and propagates
     /// engine restore errors.
     pub fn restore_from_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-        let current = self.current();
-        // The decoder only clones the current shard 0 per shard after the
-        // container has validated, so a malformed snapshot is rejected
-        // without paying any engine clone.
-        let decoded =
-            persist::decode_fleet(bytes, &current.shards[0].index, current.next_base_epoch())?;
-        self.install_decoded(&current, decoded)
+        self.restore_from_map(&Mmap::from_bytes(bytes.to_vec()), None)
     }
 
     /// [`ShardedIndex::restore_from_bytes`] over an mmap'd snapshot file:
     /// shard engines restore **zero-copy** from their aligned regions of
     /// the map ([`juno_common::index::AnnIndex::restore_mapped`]), with hot
-    /// sections faulted in lazily under `residency`. Legacy unsharded
-    /// engine snapshots restore into a single-shard fleet, also mapped.
-    /// On any error the fleet is left untouched; a successful restore
-    /// detaches any attached WAL, exactly like the byte-level restore.
+    /// sections faulted in lazily under `residency`. On any error the fleet
+    /// is left untouched; a successful restore detaches any attached WAL,
+    /// exactly like the byte-level restore.
     ///
     /// # Errors
     ///
@@ -1187,11 +1184,25 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
     /// engine restore errors.
     pub fn restore_from_mapped(
         &mut self,
-        map: &Arc<juno_common::mmap::Mmap>,
+        map: &Arc<Mmap>,
         residency: &juno_common::mmap::ResidencyConfig,
     ) -> Result<()> {
+        self.restore_from_map(map, Some(residency))
+    }
+
+    /// Decodes the snapshot held by `map` ([`persist::decode_fleet`]; a
+    /// copy restore without `residency`, a mapped one with it) and
+    /// publishes it as the next version.
+    fn restore_from_map(
+        &mut self,
+        map: &Arc<Mmap>,
+        residency: Option<&juno_common::mmap::ResidencyConfig>,
+    ) -> Result<()> {
         let current = self.current();
-        let decoded = persist::decode_fleet_mapped(
+        // The decoder only clones the current shard 0 per shard after the
+        // container has validated, so a malformed snapshot is rejected
+        // without paying any engine clone.
+        let decoded = persist::decode_fleet(
             map,
             &current.shards[0].index,
             current.next_base_epoch(),
@@ -1200,9 +1211,7 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
         self.install_decoded(&current, decoded)
     }
 
-    /// Publishes a fully validated decode as the next version of `current`:
-    /// the shared tail of [`ShardedIndex::restore_from_bytes`] and
-    /// [`ShardedIndex::restore_from_mapped`].
+    /// Publishes a fully validated decode as the next version of `current`.
     fn install_decoded(
         &mut self,
         current: &FleetVersion<I>,
@@ -1213,9 +1222,7 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
         guarded("fleet restore", || {
             current.inject_each(decoded.states.len(), FaultOp::Restore)
         })?;
-        if let Some(router) = decoded.router {
-            self.router = router;
-        }
+        self.router = decoded.router;
         let num_shards = decoded.states.len();
         self.publish(FleetVersion {
             shards: decoded.states.into_iter().map(Arc::new).collect(),
@@ -1234,11 +1241,13 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
     /// [`AnnIndex::save_to_path`] — the path-level counterpart of
     /// [`ShardedIndex::from_snapshot_bytes`], including the fallback to the
     /// rotated `.prev` generation when the newest file is torn or corrupt.
+    /// The file buffer is handed to the decoder without a copy.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when no snapshot generation exists at `path`,
-    /// and [`Error::Corrupted`] when none of the generations validates.
+    /// Returns [`Error::Io`] when no snapshot generation exists at `path` or
+    /// one cannot be read, and [`Error::Corrupted`] when none of the
+    /// generations validates.
     pub fn from_snapshot_path(prototype: I, path: &std::path::Path) -> Result<Self> {
         let mut fleet = Self::from_monolith(prototype, 1, ShardRouter::Hash { seed: 0 })?;
         fleet.load_from_path(path)?;
@@ -1253,37 +1262,19 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when no snapshot generation exists at `path`,
-    /// and [`Error::Corrupted`] when none of the generations validates.
+    /// Returns [`Error::Io`] when no snapshot generation exists at `path` or
+    /// one cannot be opened, and [`Error::Corrupted`] when none of the
+    /// generations validates.
     pub fn from_snapshot_path_mapped(
         prototype: I,
         path: &std::path::Path,
         residency: &juno_common::mmap::ResidencyConfig,
     ) -> Result<Self> {
         let mut fleet = Self::from_monolith(prototype, 1, ShardRouter::Hash { seed: 0 })?;
-        let mut last_err = None;
-        for candidate in [
-            path.to_path_buf(),
-            juno_common::atomic_file::prev_path(path),
-        ] {
-            if !candidate.exists() {
-                continue;
-            }
-            let attempt = juno_common::mmap::Mmap::open(&candidate)
-                .and_then(|map| fleet.restore_from_mapped(&map, residency));
-            match attempt {
-                Ok(()) => return Ok(fleet),
-                Err(err) => {
-                    last_err = Some(Error::corrupted(format!("{}: {err}", candidate.display())))
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            Error::Io(format!(
-                "no snapshot found at {} (nor a .prev generation)",
-                path.display()
-            ))
-        }))
+        load_newest(path, Mmap::open, |map| {
+            fleet.restore_from_map(&map, Some(residency))
+        })?;
+        Ok(fleet)
     }
 
     /// Attaches a write-ahead log rooted at `dir` and writes a **baseline
@@ -1433,52 +1424,34 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
         let mut last_err = None;
         for (covered_lsn, path) in checkpoints.iter().rev() {
             checkpoints_tried += 1;
-            // Each checkpoint generation has a live file and possibly a
-            // rotated `.prev`; `read_candidates` surfaces real IO errors
-            // while a missing file just moves on.
-            let candidates = match juno_common::atomic_file::read_candidates(path) {
-                Ok(c) => c,
-                Err(err) => {
-                    last_err = Some(err);
-                    continue;
-                }
-            };
-            for (candidate, bytes) in candidates {
-                match Self::from_snapshot_bytes(prototype.clone(), &bytes) {
-                    Ok(fleet) => {
-                        // Continuity check: replay is only sound when the
-                        // surviving log continues exactly where this
-                        // snapshot stops. A newer checkpoint may already
-                        // have pruned the segments between an *older*
-                        // generation and the present log — silently
-                        // restoring that older generation would skip the
-                        // pruned ops, so such a generation is rejected
-                        // rather than replayed across the gap. (An empty
-                        // suffix is fine: the snapshot alone is the state.)
-                        let suffix = wal.read_records_after(*covered_lsn)?;
-                        match suffix.first() {
-                            Some((first_lsn, _)) if *first_lsn != covered_lsn + 1 => {
-                                last_err = Some(Error::corrupted(format!(
-                                    "{}: WAL resumes at LSN {first_lsn}, not {} — the \
-                                     records between were pruned by a newer checkpoint",
-                                    candidate.display(),
-                                    covered_lsn + 1,
-                                )));
-                            }
-                            _ => {
-                                restored = Some((fleet, *covered_lsn, suffix));
-                                break;
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        last_err =
-                            Some(Error::corrupted(format!("{}: {err}", candidate.display())));
-                    }
-                }
+            // Continuity check: replay is only sound when the surviving log
+            // continues exactly where this generation stops. A newer
+            // checkpoint may already have pruned the segments between an
+            // *older* generation and the present log — restoring that older
+            // generation would skip the pruned ops, so it is rejected
+            // rather than replayed across the gap. (An empty suffix is
+            // fine: the snapshot alone is the state.)
+            let suffix = wal.read_records_after(*covered_lsn)?;
+            if let Some((first_lsn, _)) = suffix.first().filter(|(lsn, _)| *lsn != covered_lsn + 1)
+            {
+                last_err = Some(Error::corrupted(format!(
+                    "{}: WAL resumes at LSN {first_lsn}, not {} — the records between \
+                     were pruned by a newer checkpoint",
+                    path.display(),
+                    covered_lsn + 1,
+                )));
+                continue;
             }
-            if restored.is_some() {
-                break;
+            // Each generation has a live file and possibly a rotated
+            // `.prev`; a read failure moves on to the next generation.
+            let mut fleet =
+                Self::from_monolith(prototype.clone(), 1, ShardRouter::Hash { seed: 0 })?;
+            match fleet.load_from_path(path) {
+                Ok(()) => {
+                    restored = Some((fleet, *covered_lsn, suffix));
+                    break;
+                }
+                Err(err) => last_err = Some(err),
             }
         }
         let Some((fleet, checkpoint_lsn, records)) = restored else {
@@ -1984,6 +1957,15 @@ impl<I: AnnIndex + Clone> AnnIndex for ShardedIndex<I> {
 
     fn restore(&mut self, bytes: &[u8]) -> Result<()> {
         self.restore_from_bytes(bytes)
+    }
+
+    fn load_from_path(&mut self, path: &std::path::Path) -> Result<()> {
+        // The file buffer goes to the decoder by value: no second copy.
+        load_newest(
+            path,
+            |p| std::fs::read(p),
+            |bytes| self.restore_from_map(&Mmap::from_bytes(bytes), None),
+        )
     }
 
     fn merge_order(&self) -> ScoreOrder {

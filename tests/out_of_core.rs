@@ -12,11 +12,11 @@
 //! * **Out-of-core for real** — an index several times larger than the
 //!   residency budget still serves bit-identical results, evicting and
 //!   re-faulting clusters as the probe pattern moves.
-//! * **Compatibility** — v2 (pre-mapped) snapshots still restore via the
-//!   copy path, from bytes and from files.
-//! * **Robustness** — corrupting any byte of a v3 snapshot never panics
-//!   either restore path, and a failed restore never leaves a live fleet
-//!   partially mutated.
+//! * **Robustness** — corrupting any byte of a snapshot never panics either
+//!   restore path, the copy restore rejects every flipped payload byte, and
+//!   a failed restore never leaves a live fleet partially mutated.
+//! * **Loader contract** — a newest file that exists but cannot be read is
+//!   an I/O error on every loader, never a silent fall-back to `.prev`.
 
 use juno::prelude::*;
 use std::path::PathBuf;
@@ -76,6 +76,21 @@ fn fleet_bits(fleet: &ShardedIndex<JunoIndex>, ds: &Dataset) -> Vec<(u64, u32)> 
                 .map(|n| (n.id, n.distance.to_bits()))
         })
         .collect()
+}
+
+/// Byte ranges of every section payload in a snapshot container (header:
+/// magic, version, kind, count; per section: tag, `u64` length, checksum).
+fn section_payloads(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    let mut at = 20;
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        at += 16;
+        out.push(at..at + len);
+        at += len;
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -223,7 +238,7 @@ fn mutation_on_mapped_engine_matches_copy_restored_engine() {
 }
 
 // ---------------------------------------------------------------------------
-// Fleets: S ∈ {1, 4}, copy vs mapped restore, legacy engine files.
+// Fleets: S ∈ {1, 4}, copy vs mapped restore.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -253,57 +268,40 @@ fn fleet_snapshots_serve_identically_mapped_and_copied() {
 }
 
 #[test]
-fn legacy_unsharded_engine_file_maps_into_single_shard_fleet() {
-    let dir = scratch_dir("legacy_engine");
-    let (ds, engine) = build_engine(40);
-    let path = dir.join("engine.snap");
-    engine.save_snapshot(&path).expect("save");
-    let want = results_bits(&engine, &ds);
-
+fn unreadable_newest_file_is_an_io_error_for_every_loader() {
+    // A directory squatting on the newest path, with a valid previous
+    // generation beside it: the loaders must report the fault, not serve
+    // the older generation as if the newest had been torn.
+    let dir = scratch_dir("unreadable");
+    let (_, engine) = build_engine(41);
+    let prototype = engine.clone();
+    let engine_path = dir.join("engine.snap");
+    let fleet_path = dir.join("fleet.snap");
+    let prev = juno::common::atomic_file::prev_path;
+    std::fs::write(prev(&engine_path), engine.to_snapshot_bytes()).expect("engine prev");
     let fleet =
-        ShardedIndex::from_snapshot_path_mapped(engine.clone(), &path, &ResidencyConfig::default())
-            .expect("mapped legacy restore");
-    assert_eq!(fleet.num_shards(), 1);
-    let got: Vec<(u64, u32)> = fleet_bits(&fleet, &ds);
-    assert_eq!(got, want);
-    let _ = std::fs::remove_dir_all(&dir);
-}
+        ShardedIndex::from_monolith(engine, 2, ShardRouter::Hash { seed: 5 }).expect("fleet");
+    std::fs::write(
+        prev(&fleet_path),
+        fleet.to_snapshot_bytes().expect("fleet bytes"),
+    )
+    .expect("fleet prev");
+    std::fs::create_dir(&engine_path).expect("engine squatter");
+    std::fs::create_dir(&fleet_path).expect("fleet squatter");
 
-// ---------------------------------------------------------------------------
-// v2 → v3 compatibility.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v2_snapshots_restore_via_the_copy_path_from_bytes_and_files() {
-    let dir = scratch_dir("v2compat");
-    let (ds, engine) = build_engine(36);
-    let want = results_bits(&engine, &ds);
-
-    // The exact bytes the pre-mapped writer emitted.
-    let v2 = engine.to_snapshot_bytes_v2();
-    let from_bytes = JunoIndex::from_snapshot_bytes(&v2).expect("v2 restore");
-    assert_eq!(results_bits(&from_bytes, &ds), want, "v2 from bytes");
-
-    // Both file loaders accept a v2 file; the mapped loader falls back to
-    // the copy decoders for the v2 hot sections.
-    let path = dir.join("v2.snap");
-    juno::common::atomic_file::write_atomic(&path, &v2).expect("write v2");
-    let loaded = JunoIndex::load_snapshot(&path).expect("v2 load");
-    assert_eq!(results_bits(&loaded, &ds), want, "v2 from file");
-    let mapped_load =
-        JunoIndex::load_snapshot_mapped(&path, &ResidencyConfig::default()).expect("v2 mapped");
-    assert!(!mapped_load.is_mapped(), "v2 sections restore by copy");
-    assert_eq!(
-        results_bits(&mapped_load, &ds),
-        want,
-        "v2 via mapped loader"
-    );
-
-    // And a v3 writer round-trip still reads back bit-identically.
-    let v3 = engine.to_snapshot_bytes();
-    assert_ne!(v2, v3);
-    let from_v3 = JunoIndex::from_snapshot_bytes(&v3).expect("v3 restore");
-    assert_eq!(results_bits(&from_v3, &ds), want, "v3 from bytes");
+    let residency = ResidencyConfig::default();
+    let is_io = |r: Result<(), juno::common::Error>| matches!(r, Err(juno::common::Error::Io(_)));
+    assert!(is_io(
+        JunoIndex::load_snapshot_mapped(&engine_path, &residency).map(drop)
+    ));
+    assert!(is_io(
+        ShardedIndex::from_snapshot_path_mapped(prototype.clone(), &fleet_path, &residency)
+            .map(drop)
+    ));
+    assert!(is_io(JunoIndex::load_snapshot(&engine_path).map(drop)));
+    assert!(is_io(
+        ShardedIndex::from_snapshot_path(prototype, &fleet_path).map(drop)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -324,13 +322,18 @@ fn corrupted_v3_snapshots_never_panic_either_restore_path() {
     }
     // Byte flips through both paths, on a prime stride so every container
     // region (headers, directories, hot arrays, checksums) gets hit. The
-    // flip may land in cold padding (a successful load is fine); what is
-    // forbidden is a panic — in restore *or* in the lazily-verified
-    // searches afterwards.
+    // mapped path may accept a flip in cold padding; what is forbidden is a
+    // panic — in restore *or* in the lazily-verified searches afterwards.
+    // The copy path is strict: it checksums every section payload, so a
+    // flip inside any of them must be rejected.
+    let payloads = section_payloads(&bytes);
     for at in (0..bytes.len()).step_by(509) {
         let mut corrupt = bytes.clone();
         corrupt[at] ^= 0x40;
-        let _ = JunoIndex::from_snapshot_bytes(&corrupt);
+        let copied = JunoIndex::from_snapshot_bytes(&corrupt);
+        if payloads.iter().any(|p| p.contains(&at)) {
+            assert!(copied.is_err(), "byte {at}: copy restore accepted a flip");
+        }
 
         std::fs::write(&path, &corrupt).expect("write corrupt");
         let _ = std::fs::remove_file(juno::common::atomic_file::prev_path(&path));
@@ -352,16 +355,24 @@ fn failed_restores_leave_the_live_fleet_untouched() {
     let before_ids = fleet.ids();
     let before_bits = fleet_bits(&fleet, &ds);
     let good = fleet.to_snapshot_bytes().expect("fleet bytes");
+    let payloads = section_payloads(&good);
 
     for at in (24..good.len()).step_by(1021) {
         let mut corrupt = good.clone();
         corrupt[at] ^= 0xFF;
-        // Corruption may land in cold padding and restore successfully;
-        // roll back via the good bytes so the next iteration starts from
-        // the same state. What must never happen is a *failed* restore
-        // that changed anything.
+        // Corruption may land in cold padding and restore successfully
+        // (mapped path only: the copy path checksums every section payload,
+        // shard sections included); roll back via the good bytes so the next
+        // iteration starts from the same state. What must never happen is a
+        // *failed* restore that changed anything.
         match fleet.restore_from_bytes(&corrupt) {
-            Ok(()) => fleet.restore_from_bytes(&good).expect("roll back"),
+            Ok(()) => {
+                assert!(
+                    !payloads.iter().any(|p| p.contains(&at)),
+                    "byte {at}: copy restore accepted a flip"
+                );
+                fleet.restore_from_bytes(&good).expect("roll back")
+            }
             Err(_) => {
                 assert_eq!(fleet.ids(), before_ids, "byte {at}: ids after failure");
             }

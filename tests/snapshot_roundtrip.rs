@@ -249,144 +249,83 @@ fn corrupted_or_cross_engine_snapshots_error_never_panic() {
     }
 }
 
-/// Re-encodes a parsed snapshot with `CODE` (and, for JUNO, `LAYT`) written
-/// in the **legacy pre-fast-scan layout** (`u16` codes, no version
-/// sentinel), leaving every other section byte-identical. This synthesises
-/// the snapshots old builds produced so the back-compat readers stay
-/// covered by an executable test.
-fn reencode_with_legacy_code_sections(
-    bytes: &[u8],
-    kind_word: u32,
-    tags: &[[u8; 4]],
-    legacy_code: &[u8],
-    legacy_layout: Option<&[u8]>,
-) -> Vec<u8> {
+/// Rewrites the `u32` section version at byte 8 of `tag`'s payload (every
+/// versioned section opens with a `u64` sentinel and then its version),
+/// re-checksumming the container so only the version is wrong.
+fn with_section_version(bytes: &[u8], kind_word: u32, tag: [u8; 4], version: u32) -> Vec<u8> {
     use juno::data::snapshot::{SectionWriter, Snapshot, SnapshotWriter};
-    let snap = Snapshot::parse(bytes).expect("parse v2 snapshot");
+    let snap = Snapshot::parse(bytes).expect("parse snapshot");
+    // Section order must match the writer's, or the hot payloads' alignment
+    // padding would no longer line up with their absolute file offsets.
     let mut writer = SnapshotWriter::new(kind_word);
-    for &tag in tags {
-        let mut section = SectionWriter::new();
-        match (&tag, legacy_layout) {
-            (b"CODE", _) => section.put_raw(legacy_code),
-            (b"LAYT", Some(layt)) => section.put_raw(layt),
-            _ => section.put_raw(snap.section(tag).expect("section").take_rest()),
+    let mut at = 20usize;
+    while at < bytes.len() {
+        let t: [u8; 4] = bytes[at..at + 4].try_into().unwrap();
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        let mut payload = snap.section(t).expect("section").take_rest().to_vec();
+        if t == tag {
+            payload[8..12].copy_from_slice(&version.to_le_bytes());
         }
-        writer.add_section(tag, section);
+        let mut section = SectionWriter::new();
+        section.put_raw(&payload);
+        writer.add_section(t, section);
+        at += 16 + len;
     }
     writer.finish()
 }
 
-/// Legacy CODE payload: subspace count, then `u16` codes.
-fn legacy_code_section(codes: &juno::quant::EncodedPoints) -> Vec<u8> {
-    let mut w = juno::data::snapshot::SectionWriter::new();
-    w.put_u64(codes.num_subspaces() as u64);
-    let wide: Vec<u16> = codes.as_flat().iter().map(|&c| c as u16).collect();
-    w.put_u16s(&wide);
-    w.finish()
-}
-
 #[test]
-fn legacy_u16_snapshots_are_still_readable_bit_identically() {
-    let ds = DatasetProfile::DeepLike
-        .generate(1_200, 8, 404)
-        .expect("ds");
-    let mut juno = JunoIndex::build(
+fn older_section_versions_are_rejected_naming_the_version() {
+    let ds = DatasetProfile::DeepLike.generate(800, 4, 404).expect("ds");
+    let juno = JunoIndex::build(
         &ds.points,
         &JunoConfig {
-            n_clusters: 16,
-            nprobs: 6,
-            pq_entries: 32,
+            n_clusters: 8,
+            nprobs: 4,
+            pq_entries: 16,
             ..JunoConfig::small_test(ds.dim(), ds.metric())
         },
     )
     .expect("juno");
-    // Mutation state (tails + tombstones) must survive the legacy framing
-    // too — old builds persisted it the same way, just with u16 codes.
-    for id in (0..200u64).step_by(11) {
-        assert!(juno.remove(id).expect("remove"));
-    }
-    for i in 0..15 {
-        juno.insert(ds.points.row(i * 17)).expect("insert");
+    let bytes = juno.snapshot().expect("snapshot");
+    let kind_word = juno::core::persist::KIND_JUNO;
+    // The unchanged rewrite restores, so every rejection below is the
+    // version alone.
+    JunoIndex::from_snapshot_bytes(&with_section_version(&bytes, kind_word, *b"NONE", 3))
+        .expect("identity rewrite restores");
+    for tag in [*b"CODE", *b"LAYT", *b"IVFC", *b"THRM"] {
+        for version in [2u32, 7] {
+            let old = with_section_version(&bytes, kind_word, tag, version);
+            match JunoIndex::from_snapshot_bytes(&old) {
+                Err(juno::common::Error::Corrupted(msg)) => assert!(
+                    msg.contains(&format!("version {version}")),
+                    "{}: message must name version {version}: {msg}",
+                    String::from_utf8_lossy(&tag)
+                ),
+                other => panic!("{tag:?} v{version}: want Corrupted, got {other:?}"),
+            }
+        }
     }
 
-    // Legacy LAYT payload from the live layout parts.
-    let parts = juno.list_codes().to_parts();
-    let mut layt = juno::data::snapshot::SectionWriter::new();
-    layt.put_u32s(&parts.offsets);
-    layt.put_u32s(&parts.point_ids);
-    layt.put_u16s(&parts.codes.iter().map(|&c| c as u16).collect::<Vec<u16>>());
-    layt.put_u64(parts.num_subspaces as u64);
-    layt.put_u64(parts.extra_ids.len() as u64);
-    for (ids, codes) in parts.extra_ids.iter().zip(&parts.extra_codes) {
-        layt.put_u32s(ids);
-        layt.put_u16s(&codes.iter().map(|&c| c as u16).collect::<Vec<u16>>());
-    }
-    layt.put_bools(&parts.deleted);
-    layt.put_u32(parts.next_id);
-
-    let v2 = juno.snapshot().expect("snapshot");
-    let legacy = reencode_with_legacy_code_sections(
-        &v2,
-        juno::core::persist::KIND_JUNO,
-        &[
-            *b"CONF", *b"IVFC", *b"PQCB", *b"CODE", *b"LAYT", *b"THRM", *b"SCNB",
-        ],
-        &legacy_code_section(juno.codes()),
-        Some(&layt.finish()),
-    );
-    assert_ne!(legacy, v2, "legacy bytes must differ from the v2 framing");
-    let restored = JunoIndex::from_snapshot_bytes(&legacy).expect("legacy restore");
-    assert_same_results(
-        &search_all(&juno, &ds.queries, 25),
-        &search_all(&restored, &ds.queries, 25),
-        "juno legacy snapshot",
-    );
-
-    // IVFPQ: same legacy CODE framing.
+    // The IVFPQ baseline writes and reads the same CODE layout.
     let ivfpq = IvfPqIndex::build(
         &ds.points,
         &IvfPqConfig {
-            n_clusters: 16,
-            nprobs: 6,
+            n_clusters: 8,
+            nprobs: 4,
             pq_subspaces: ds.dim() / 2,
-            pq_entries: 32,
+            pq_entries: 16,
             metric: ds.metric(),
             seed: 2,
         },
     )
     .expect("ivfpq");
-    let v2 = ivfpq.snapshot().expect("snapshot");
-    let legacy = reencode_with_legacy_code_sections(
-        &v2,
-        juno::baseline::ivfpq::KIND_IVFPQ,
-        &[*b"CONF", *b"IVFC", *b"PQCB", *b"CODE"],
-        &legacy_code_section(ivfpq.codes()),
-        None,
-    );
-    let restored = IvfPqIndex::from_snapshot_bytes(&legacy).expect("legacy ivfpq restore");
-    assert_same_results(
-        &search_all(&ivfpq, &ds.queries, 25),
-        &search_all(&restored, &ds.queries, 25),
-        "ivfpq legacy snapshot",
-    );
-
-    // A legacy snapshot whose codes exceed the u8 range (entries > 256 —
-    // never a shipped configuration) is rejected cleanly, not truncated.
-    let mut bad = juno::data::snapshot::SectionWriter::new();
-    bad.put_u64(juno.codes().num_subspaces() as u64);
-    let mut wide: Vec<u16> = juno.codes().as_flat().iter().map(|&c| c as u16).collect();
-    wide[0] = 300;
-    bad.put_u16s(&wide);
-    let poisoned = reencode_with_legacy_code_sections(
-        &juno.snapshot().expect("snapshot"),
-        juno::core::persist::KIND_JUNO,
-        &[
-            *b"CONF", *b"IVFC", *b"PQCB", *b"CODE", *b"LAYT", *b"THRM", *b"SCNB",
-        ],
-        &bad.finish(),
-        None,
-    );
-    assert!(JunoIndex::from_snapshot_bytes(&poisoned).is_err());
+    let bytes = ivfpq.snapshot().expect("snapshot");
+    let old = with_section_version(&bytes, juno::baseline::ivfpq::KIND_IVFPQ, *b"CODE", 2);
+    assert!(matches!(
+        IvfPqIndex::from_snapshot_bytes(&old),
+        Err(juno::common::Error::Corrupted(msg)) if msg.contains("version 2")
+    ));
 }
 
 // ---------------------------------------------------------------------------
@@ -533,50 +472,4 @@ fn sharded_snapshot_corruption_errors_cleanly_and_leaves_the_fleet_intact() {
         fleet.restore_from_bytes(&corrupt),
         Err(juno::common::Error::Corrupted(_))
     ));
-}
-
-#[test]
-fn legacy_unsharded_snapshot_restores_into_a_single_shard_fleet() {
-    let ds = DatasetProfile::DeepLike
-        .generate(1_000, 8, 321)
-        .expect("ds");
-    let mut monolith = JunoIndex::build(
-        &ds.points,
-        &JunoConfig {
-            n_clusters: 16,
-            nprobs: 6,
-            pq_entries: 32,
-            ..JunoConfig::small_test(ds.dim(), ds.metric())
-        },
-    )
-    .expect("build");
-    for id in (0..120u64).step_by(7) {
-        assert!(monolith.remove(id).expect("remove"));
-    }
-    // A pre-serving-layer deployment's snapshot: plain engine bytes with the
-    // JUNO kind word, no SHRD framing.
-    let legacy = monolith.snapshot().expect("legacy snapshot");
-
-    let (fleet, _) = build_mutated_fleet(11);
-    let mut fleet = fleet;
-    assert_eq!(fleet.num_shards(), 3);
-    fleet.restore_from_bytes(&legacy).expect("legacy restore");
-    assert_eq!(
-        fleet.num_shards(),
-        1,
-        "legacy snapshots restore to one shard"
-    );
-    assert_eq!(fleet.len(), monolith.len());
-    assert_same_results(
-        &search_all(&monolith, &ds.queries, 25),
-        &search_all(&fleet, &ds.queries, 25),
-        "legacy unsharded restore",
-    );
-    // The single-shard fleet remains fully serviceable (mutation + snapshot).
-    let id = fleet.insert_shared(ds.points.row(5)).expect("insert");
-    assert_eq!(id, monolith.insert(ds.points.row(5)).expect("insert"));
-    let resharded = fleet.to_snapshot_bytes().expect("resnapshot");
-    let restored =
-        ShardedIndex::from_snapshot_bytes(monolith.clone(), &resharded).expect("re-restore");
-    assert_eq!(restored.len(), fleet.len());
 }
